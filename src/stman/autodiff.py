@@ -34,7 +34,6 @@ __all__ = [
     "scale",
     "softmax_rows",
     "masked_softmax",
-    "concat",
     "hconcat",
     "hstack",
     "add_bias",
@@ -108,6 +107,10 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> bool:
         popped = _ACTIVE.stack.pop()
         assert popped is self, "tapes must unwind in LIFO order"
+        # each rule closes over its own output node; dropping the rules
+        # breaks those cycles so the graph is freed by reference counting
+        for node in self.nodes:
+            node.backward_rule = None
         return False
 
     def backward(self, loss: Node) -> None:
@@ -115,8 +118,9 @@ class Tape:
 
         A node feeding several consumers accumulates one contribution
         per consumer. Gradients must be clear when this is called (fresh
-        tape, or zero_grads first): replay re-propagates whatever grad a
-        node already holds, so stacking calls compounds stale values.
+        tape and leaves): replay re-propagates whatever grad a node
+        already holds, so stacking calls compounds stale values. Call it
+        inside the ``with`` block; leaving the block drops the rules.
         """
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward: loss must be 1x1, got {loss.value.shape}")
@@ -126,12 +130,6 @@ class Tape:
         for node in reversed(self.nodes):
             if node.backward_rule is not None and node.grad is not None:
                 node.backward_rule()
-
-    def zero_grads(self) -> None:
-        for node in self.nodes:
-            node.grad = None
-            for parent in node.parents:
-                parent.grad = None
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -353,15 +351,6 @@ def hconcat(a: Node, b: Node) -> Node:
 
         out.backward_rule = rule
     return out
-
-
-def concat(a: Node, b: Node) -> Node:
-    """Juxtapose two row vectors into one; backward splits by range."""
-    if a.value.shape[0] != 1 or b.value.shape[0] != 1:
-        raise ShapeError(
-            f"concat: expects row vectors, got {a.value.shape} and {b.value.shape}"
-        )
-    return hconcat(a, b)
 
 
 def hstack(parts: Sequence[Node]) -> Node:

@@ -114,6 +114,7 @@ def _check_label(value, allowed: tuple, what: str, line: int) -> str:
 
 def parse_corpus(path) -> list[Dialogue]:
     dialogues = []
+    first_line: dict[str, int] = {}  # id -> line it first appeared on
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -127,6 +128,10 @@ def parse_corpus(path) -> list[Dialogue]:
             did = _field(obj, "id", lineno)
             if not isinstance(did, str) or not did:
                 raise ParseError(lineno, "id must be a non-empty string")
+            if did in first_line:
+                raise ParseError(lineno, f"duplicate dialogue id {did!r} "
+                                         f"(first on line {first_line[did]})")
+            first_line[did] = lineno
             sat = _check_label(_field(obj, "satisfaction", lineno), SATISFACTIONS,
                                "satisfaction", lineno)
             utts_raw = _field(obj, "utterances", lineno)

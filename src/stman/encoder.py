@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 
-__all__ = ["param_specs", "encode_grid", "encode_utterance"]
+__all__ = ["param_specs", "encode_grid"]
 
 
 def param_specs(vocab_size: int, D: int, E: int) -> list[tuple[str, tuple[int, int]]]:
@@ -107,13 +107,3 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
         v = ad.dropout(v, dropout_rate, rng)
     return v
 
-
-def encode_utterance(P: dict, token_ids, token_mask, E: int) -> ad.Node:
-    """One utterance to one (1, 2E) vector; needs >= 1 unmasked token."""
-    token_ids = np.asarray(token_ids, dtype=np.intp)
-    token_mask = np.asarray(token_mask, dtype=bool)
-    if token_ids.shape != token_mask.shape or token_ids.ndim != 1:
-        raise ad.ShapeError("encode_utterance: ids and mask must be equal-length 1-D")
-    if not token_mask.any():
-        raise ad.ContractError("encode_utterance: all tokens masked")
-    return encode_grid(P, token_ids.reshape(1, 1, -1), token_mask.reshape(1, 1, -1), E)

@@ -178,29 +178,33 @@ def _run_and_score(split: cp.CorpusSplit, cfg: ModelConfig) -> dict:
     return entry
 
 
+def _seeded(base: ModelConfig, n_seeds: int) -> list[ModelConfig]:
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    return [replace(base, seed=base.seed + i) for i in range(n_seeds)]
+
+
+def _seed_runs(split: cp.CorpusSplit, configs) -> dict:
+    """Train and score each config; per-run numbers plus seed medians."""
+    runs = [_run_and_score(split, cfg) for cfg in configs]
+    entry = {"runs": runs}
+    keys = ["use_accuracy", "use_macro_f1"]
+    if all("sa_macro_f1" in r for r in runs):
+        keys += ["sa_accuracy", "sa_macro_f1"]
+    for key in keys:
+        entry[f"median_{key}"] = _median([r[key] for r in runs])
+    return entry
+
+
 def ablate(split: cp.CorpusSplit, base: ModelConfig, n_seeds: int,
            variants=None) -> dict:
     """Train every variant on the same split with the same per-run seeds
     so differences reflect the variant only; report per-run numbers plus
     seed medians."""
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    report = {"n_seeds": n_seeds, "variants": {}}
-    for name in variants or list(VARIANTS):
-        runs = []
-        for i in range(n_seeds):
-            cfg = variant_config(replace(base, seed=base.seed + i), name)
-            runs.append(_run_and_score(split, cfg))
-        entry = {
-            "runs": runs,
-            "median_use_accuracy": _median([r["use_accuracy"] for r in runs]),
-            "median_use_macro_f1": _median([r["use_macro_f1"] for r in runs]),
-        }
-        if all("sa_macro_f1" in r for r in runs):
-            entry["median_sa_accuracy"] = _median([r["sa_accuracy"] for r in runs])
-            entry["median_sa_macro_f1"] = _median([r["sa_macro_f1"] for r in runs])
-        report["variants"][name] = entry
-    return report
+    seeded = _seeded(base, n_seeds)
+    return {"n_seeds": n_seeds, "variants": {
+        name: _seed_runs(split, [variant_config(cfg, name) for cfg in seeded])
+        for name in variants or list(VARIANTS)}}
 
 
 def fraction_sweep(split: cp.CorpusSplit, fractions, base: ModelConfig,
@@ -210,24 +214,11 @@ def fraction_sweep(split: cp.CorpusSplit, fractions, base: ModelConfig,
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fractions must lie in [0, 1], got {f}")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    report = {"n_seeds": n_seeds, "fractions": []}
-    for f in fractions:
-        runs = []
-        for i in range(n_seeds):
-            cfg = replace(base, seed=base.seed + i, use_td=True, adv_fraction=f)
-            runs.append(_run_and_score(split, cfg))
-        entry = {
-            "fraction": f,
-            "runs": runs,
-            "median_use_accuracy": _median([r["use_accuracy"] for r in runs]),
-            "median_use_macro_f1": _median([r["use_macro_f1"] for r in runs]),
-        }
-        if all("sa_macro_f1" in r for r in runs):
-            entry["median_sa_macro_f1"] = _median([r["sa_macro_f1"] for r in runs])
-        report["fractions"].append(entry)
-    return report
+    seeded = _seeded(base, n_seeds)
+    return {"n_seeds": n_seeds, "fractions": [
+        {"fraction": f, **_seed_runs(split, [replace(cfg, use_td=True, adv_fraction=f)
+                                             for cfg in seeded])}
+        for f in fractions]}
 
 
 # ------------------------------------------------------------ toy fixtures

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from . import interaction
 
 __all__ = [
     "N_SAT",
@@ -14,11 +15,8 @@ __all__ = [
     "N_TASKS",
     "param_specs",
     "use_decode_steps",
-    "use_decode",
-    "sa_decode_step",
     "sa_decode",
     "discriminate_steps",
-    "discriminate",
 ]
 
 N_SAT = 3
@@ -74,42 +72,10 @@ def use_decode_steps(P: dict, H_m: list, keep: np.ndarray,
     return p_m, alpha
 
 
-def use_decode(P: dict, H_m: list, roles, use_mask: bool = True):
-    """Single-dialogue wrapper: H_m is the per-utterance state list,
-    roles the matching speaker strings."""
-    L = len(H_m)
-    if len(roles) != L or L < 1:
-        raise ad.ShapeError(f"use_decode: {L} states vs {len(roles)} roles")
-    if use_mask:
-        keep = np.array([[r == "user" for r in roles]])
-    else:
-        keep = np.ones((1, L), dtype=bool)
-    last = np.zeros((1, L))
-    last[0, L - 1] = 1.0
-    return use_decode_steps(P, H_m, keep, last)
-
-
-def sa_decode_step(P: dict, h_a: ad.Node) -> ad.Node:
-    return ad.softmax_rows(ad.add_bias(ad.matmul(h_a, P["sa.W"]), P["sa.b"]))
-
-
 def sa_decode(P: dict, H_a: list) -> list:
-    return [sa_decode_step(P, h) for h in H_a]
-
-
-def _td_gru_step(P: dict, x: ad.Node, h_prev: ad.Node) -> ad.Node:
-    def gate(g):
-        return ad.add_bias(ad.add(ad.matmul(x, P[f"td.W_{g}"]),
-                                  ad.matmul(h_prev, P[f"td.U_{g}"])),
-                           P[f"td.b_{g}"])
-
-    r = ad.sigmoid(gate("r"))
-    z = ad.sigmoid(gate("z"))
-    hh = ad.tanh(ad.add_bias(
-        ad.add(ad.matmul(x, P["td.W_h"]),
-               ad.matmul(ad.hadamard(h_prev, r), P["td.U_h"])),
-        P["td.b_h"]))
-    return ad.add(ad.sub(h_prev, ad.hadamard(z, h_prev)), ad.hadamard(z, hh))
+    """Per-step sentiment distributions, one (B, 3) node per state."""
+    return [ad.softmax_rows(ad.add_bias(ad.matmul(h, P["sa.W"]), P["sa.b"]))
+            for h in H_a]
 
 
 def discriminate_steps(P: dict, X: ad.Node, B: int, L: int, K: int) -> list:
@@ -118,12 +84,7 @@ def discriminate_steps(P: dict, X: ad.Node, B: int, L: int, K: int) -> list:
     h = ad.constant(np.zeros((B, K)))
     probs = []
     for t in range(L):
-        h = _td_gru_step(P, ad.slice_rows(X, t * B, (t + 1) * B), h)
+        h = interaction.gru_step(P, "td", ad.slice_rows(X, t * B, (t + 1) * B), h)
         probs.append(ad.softmax_rows(ad.add_bias(ad.matmul(h, P["td.W_o"]),
                                                  P["td.b_o"])))
     return probs
-
-
-def discriminate(P: dict, X: ad.Node, K: int) -> list:
-    """Single-dialogue wrapper: X is (L, K), one utterance per row."""
-    return discriminate_steps(P, X, 1, X.value.shape[0], K)

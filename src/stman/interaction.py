@@ -18,7 +18,7 @@ from . import autodiff as ad
 __all__ = [
     "param_specs",
     "project",
-    "gru_shared_step",
+    "gru_step",
     "gru_task_step",
     "run_interaction",
 ]
@@ -55,19 +55,18 @@ def project(P: dict, V: ad.Node, task: str) -> ad.Node:
                                P[f"proj.{task}.b"]))
 
 
-def gru_shared_step(P: dict, x: ad.Node, h_prev: ad.Node) -> ad.Node:
-    """Standard GRU update: h = (1-z) * h_prev + z * candidate."""
-    def gate(g):
-        return ad.add_bias(ad.add(ad.matmul(x, P[f"gru_s.W_{g}"]),
-                                  ad.matmul(h_prev, P[f"gru_s.U_{g}"])),
-                           P[f"gru_s.b_{g}"])
+def gru_step(P: dict, prefix: str, x: ad.Node, h_prev: ad.Node) -> ad.Node:
+    """Standard GRU update h = (1-z) * h_prev + z * candidate, with the
+    parameters ``{prefix}.W_g``, ``.U_g`` and ``.b_g`` for g in r|z|h.
+    The shared GRU ("gru_s") and the turn discriminator ("td") use it."""
+    def gate(g, h_in):
+        return ad.add_bias(ad.add(ad.matmul(x, P[f"{prefix}.W_{g}"]),
+                                  ad.matmul(h_in, P[f"{prefix}.U_{g}"])),
+                           P[f"{prefix}.b_{g}"])
 
-    r = ad.sigmoid(gate("r"))
-    z = ad.sigmoid(gate("z"))
-    hh = ad.tanh(ad.add_bias(
-        ad.add(ad.matmul(x, P["gru_s.W_h"]),
-               ad.matmul(ad.hadamard(h_prev, r), P["gru_s.U_h"])),
-        P["gru_s.b_h"]))
+    r = ad.sigmoid(gate("r", h_prev))
+    z = ad.sigmoid(gate("z", h_prev))
+    hh = ad.tanh(gate("h", ad.hadamard(h_prev, r)))
     return ad.add(ad.sub(h_prev, ad.hadamard(z, h_prev)), ad.hadamard(z, hh))
 
 
@@ -97,7 +96,7 @@ def _task_stream(P: dict, task: str, X: ad.Node, turn_cols, B: int, L: int,
     steps = []
     for t in range(L):
         x_t = ad.slice_rows(X, t * B, (t + 1) * B)
-        h_s = gru_shared_step(P, x_t, h_s)
+        h_s = gru_step(P, "gru_s", x_t, h_s)
         x_aug = x_t if turn_cols is None else ad.hconcat(x_t, turn_cols[t])
         h_k = gru_task_step(P, task, x_aug, h_k, h_s)
         steps.append(h_k)

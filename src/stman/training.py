@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -55,6 +56,11 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "stman-checkpoint-v1"
 
+# accepted value types per ModelConfig field annotation; a float field
+# also takes an int
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                "bool": bool}
+
 
 @dataclass
 class ModelConfig:
@@ -87,6 +93,12 @@ class ModelConfig:
     adv_fraction: float = 1.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass: only bool fields may hold one
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or isinstance(value, bool) != (f.type == "bool")):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         for name in ("K", "Z", "H", "D", "E", "batch", "epochs", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -218,6 +230,13 @@ def _last_valid_onehot(utt_valid: np.ndarray) -> np.ndarray:
     return onehot
 
 
+def _log_likelihood(probs: list, weights: np.ndarray) -> ad.Node:
+    """sum(weights * log p) over the column-stacked (B, C) distributions;
+    column block k of weights belongs to probs[k]."""
+    return ad.sum_all(ad.hadamard(ad.constant(weights),
+                                  ad.log_clamped(ad.hstack(probs))))
+
+
 def task_loss(p_m: ad.Node, sat: np.ndarray, sa_probs, sent: np.ndarray,
               utt_valid: np.ndarray, use_aux: bool) -> ad.Node:
     """Batch-mean task loss.
@@ -227,37 +246,30 @@ def task_loss(p_m: ad.Node, sat: np.ndarray, sa_probs, sent: np.ndarray,
     real utterances. Padded rows carry weight zero by construction.
     """
     B = sat.shape[0]
-    g_m = np.zeros((B, heads.N_SAT))
-    g_m[np.arange(B), sat] = 1.0 / B
-    loss = ad.scale(ad.sum_all(ad.hadamard(ad.constant(g_m), ad.log_clamped(p_m))), -1.0)
+    w_m = np.zeros((B, heads.N_SAT))
+    w_m[np.arange(B), sat] = 1.0 / B
     if not use_aux:
-        return loss
-    lengths = utt_valid.sum(axis=1)
-    for t, p_t in enumerate(sa_probs):
-        w = np.where(utt_valid[:, t], 1.0 / (lengths * B), 0.0)
-        g_t = np.zeros((B, heads.N_SENT))
-        g_t[np.arange(B), sent[:, t]] = w
-        term = ad.scale(ad.sum_all(ad.hadamard(ad.constant(g_t),
-                                               ad.log_clamped(p_t))), -1.0)
-        loss = ad.add(loss, term)
-    return loss
+        return _log_likelihood([p_m], -w_m)
+    lengths = utt_valid.sum(axis=1, keepdims=True)
+    w_sa = np.zeros(utt_valid.shape + (heads.N_SENT,))
+    rows, steps = np.indices(utt_valid.shape)
+    w_sa[rows, steps, sent] = np.where(utt_valid, 1.0 / (lengths * B), 0.0)
+    return _log_likelihood([p_m, *sa_probs],
+                           -np.hstack([w_m, w_sa.reshape(B, -1)]))
 
 
 def adv_loss(pk_m, pk_a, utt_valid: np.ndarray) -> ad.Node:
     """Discriminator log-likelihood J: per dialogue, mean log-probability
     of the true origin over the 2L feature rows (L from each stream),
     then batch-mean. Maximization ascends it, minimization descends it."""
-    B, _ = utt_valid.shape
-    lengths = utt_valid.sum(axis=1)
-    loss = None
-    for cls, stream in ((0, pk_m), (1, pk_a)):
-        for t, p_t in enumerate(stream):
-            w = np.where(utt_valid[:, t], 1.0 / (2.0 * lengths * B), 0.0)
-            g_t = np.zeros((B, heads.N_TASKS))
-            g_t[:, cls] = w
-            term = ad.sum_all(ad.hadamard(ad.constant(g_t), ad.log_clamped(p_t)))
-            loss = term if loss is None else ad.add(loss, term)
-    return loss
+    B, L = utt_valid.shape
+    lengths = utt_valid.sum(axis=1, keepdims=True)
+    w = np.where(utt_valid, 1.0 / (2.0 * lengths * B), 0.0)
+    # (dialogue, stream, step, class): each stream's true class is its index
+    weights = np.zeros((B, 2, L, heads.N_TASKS))
+    weights[:, 0, :, 0] = w
+    weights[:, 1, :, 1] = w
+    return _log_likelihood([*pk_m, *pk_a], weights.reshape(B, -1))
 
 
 # ---------------------------------------------------------------- forwards
@@ -440,11 +452,8 @@ def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,
         _, p_m, sa_probs = forward_task(P, batch, cfg, train_mode=False)
         use_preds.extend(int(i) for i in np.argmax(p_m.value, axis=1))
         if cfg.use_aux:
-            stacked = np.stack([p.value for p in sa_probs])  # (L, B, 3)
-            for b in range(batch.size):
-                for t in range(batch.ids.shape[1]):
-                    if batch.utt_valid[b, t]:
-                        sa_preds.append(int(np.argmax(stacked[t, b])))
+            stacked = np.stack([p.value for p in sa_probs], axis=1)  # (B, L, 3)
+            sa_preds.extend(int(i) for i in np.argmax(stacked[batch.utt_valid], axis=1))
     return use_preds, sa_preds
 
 

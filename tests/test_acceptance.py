@@ -88,8 +88,9 @@ def test_criterion_2_exactness_fixtures():
     leaves = {k: ad.leaf(v) for k, v in P.items()}
     states = [ad.constant(np.atleast_2d(row))
               for row in rng.normal(size=(L, K))]
-    _, alpha = hd.use_decode(leaves, states,
-                             ["user", "staff", "user", "staff", "user"])
+    keep = np.array([[True, False, True, False, True]])
+    last = np.array([[0.0, 0.0, 0.0, 0.0, 1.0]])
+    _, alpha = hd.use_decode_steps(leaves, states, keep, last)
     assert alpha.value[0, 1] == 0.0 and alpha.value[0, 3] == 0.0
     assert abs(alpha.value[0, [0, 2, 4]].sum() - 1.0) <= 1e-12
 
@@ -98,8 +99,8 @@ def test_criterion_2_exactness_fixtures():
              for name, shape in it.param_specs(2, 3, 2, False, False, False)}
     zl = {k: ad.leaf(v) for k, v in zeros.items()}
     h_prev = np.array([[0.4, -0.6, 0.2]])
-    h = it.gru_shared_step(zl, ad.constant(np.array([[1.0, 2.0, 3.0]])),
-                           ad.constant(h_prev))
+    h = it.gru_step(zl, "gru_s", ad.constant(np.array([[1.0, 2.0, 3.0]])),
+                    ad.constant(h_prev))
     assert np.max(np.abs(h.value - 0.5 * h_prev)) <= 1e-15
 
     # uniform satisfaction probabilities score ln 3

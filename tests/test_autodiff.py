@@ -1,6 +1,8 @@
 """Engine tests: exact fixtures, high-precision oracles, and a
 finite-difference sweep across every differentiable op."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,12 +147,12 @@ def test_masked_softmax_matches_high_precision_oracle():
 
 
 def test_concat_fixture_and_contracts():
-    out = ad.concat(ad.constant([1.0]), ad.constant([2.0, 3.0]))
+    out = ad.hconcat(ad.constant([1.0]), ad.constant([2.0, 3.0]))
     assert np.array_equal(out.value, [[1.0, 2.0, 3.0]])
     with pytest.raises(ad.ShapeError):
         ad.leaf(np.zeros((1, 0)))  # zero-width operands cannot exist
     with pytest.raises(ad.ShapeError):
-        ad.concat(ad.constant(np.zeros((2, 2))), ad.constant([1.0]))
+        ad.hconcat(ad.constant(np.zeros((2, 2))), ad.constant([1.0]))
 
 
 def test_backward_square():
@@ -195,6 +197,14 @@ def test_log_clamped_zero_grad_in_clamped_region():
     assert y.value[0, 0] == np.log(1e-12)
 
 
+def zero_grads(tape):
+    """Clear every gradient the tape's backward can have written."""
+    for node in tape.nodes:
+        node.grad = None
+        for parent in node.parents:
+            parent.grad = None
+
+
 def test_rerun_after_zero_is_bitwise_identical():
     rng = np.random.default_rng(5)
     x, w = ad.leaf(rng.normal(size=(3, 3))), ad.leaf(rng.normal(size=(3, 3)))
@@ -202,10 +212,28 @@ def test_rerun_after_zero_is_bitwise_identical():
         loss = ad.sum_all(ad.tanh(ad.matmul(x, w)))
         tape.backward(loss)
         first = (x.grad.copy(), w.grad.copy())
-        tape.zero_grads()
+        zero_grads(tape)
         tape.backward(loss)
         assert np.array_equal(x.grad, first[0])
         assert np.array_equal(w.grad, first[1])
+
+
+def test_finished_tape_leaves_no_reference_cycles():
+    """Leaving the tape drops the backward rules, each of which closes
+    over its own output node, so the graph dies by reference counting."""
+    rng = np.random.default_rng(6)
+    x, w = ad.leaf(rng.normal(size=(3, 4))), ad.leaf(rng.normal(size=(4, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.softmax_rows(ad.tanh(ad.matmul(x, w))))
+            tape.backward(loss)
+        del tape, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert w.grad is not None
 
 
 def test_fanout_accumulates_per_consumer():

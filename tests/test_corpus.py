@@ -71,6 +71,15 @@ def test_parse_reports_line_number_of_bad_json(tmp_path):
         cp.parse_corpus(path)
 
 
+def test_parse_rejects_duplicate_id_naming_both_lines(tmp_path):
+    path = tmp_path / "c.jsonl"
+    cp.write_corpus([make_dialogue("a"), make_dialogue("b"), make_dialogue("a")], path)
+    with pytest.raises(cp.ParseError, match=r"line 3: duplicate dialogue id 'a' "
+                                            r"\(first on line 1\)") as exc:
+        cp.parse_corpus(path)
+    assert exc.value.line == 3
+
+
 # -------------------------------------------------------------- relabeling
 
 

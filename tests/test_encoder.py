@@ -19,37 +19,37 @@ def as_leaves(params):
     return {k: ad.leaf(v) for k, v in params.items()}
 
 
+def encode_one(P, token_ids, token_mask, E):
+    """One utterance to one (1, 2E) vector through the batched encoder."""
+    return enc.encode_grid(P, np.array([[token_ids]], dtype=np.intp),
+                           np.array([[token_mask]], dtype=bool), E)
+
+
 def test_zero_parameters_give_zero_vector():
     params = {name: np.zeros(shape) for name, shape in enc.param_specs(6, 4, 3)}
-    v = enc.encode_utterance(as_leaves(params), [2, 3, 4], [1, 1, 1], E=3)
+    v = encode_one(as_leaves(params), [2, 3, 4], [1, 1, 1], E=3)
     assert np.array_equal(v.value, np.zeros((1, 6)))
 
 
 def test_single_token_equals_oracle():
     params = make_params(8, 5, 4, seed=1)
-    v = enc.encode_utterance(as_leaves(params), [5], [1], E=4)
+    v = encode_one(as_leaves(params), [5], [1], E=4)
     want = encoder_ref([5], params, E=4)
     assert np.max(np.abs(v.value - want)) <= 1e-12  # beta must be exactly [1]
 
 
 def test_two_token_utterance_matches_scalar_lstm_oracle():
     params = make_params(9, 5, 4, seed=2)
-    v = enc.encode_utterance(as_leaves(params), [3, 7], [1, 1], E=4)
+    v = encode_one(as_leaves(params), [3, 7], [1, 1], E=4)
     want = encoder_ref([3, 7], params, E=4)
     assert np.max(np.abs(v.value - want)) <= 1e-10
 
 
 def test_masked_tail_equals_shorter_utterance():
     params = make_params(9, 5, 4, seed=3)
-    short = enc.encode_utterance(as_leaves(params), [3, 7], [1, 1], E=4)
-    padded = enc.encode_utterance(as_leaves(params), [3, 7, 1, 1], [1, 1, 0, 0], E=4)
+    short = encode_one(as_leaves(params), [3, 7], [1, 1], E=4)
+    padded = encode_one(as_leaves(params), [3, 7, 1, 1], [1, 1, 0, 0], E=4)
     assert np.max(np.abs(short.value - padded.value)) <= 1e-12
-
-
-def test_all_masked_utterance_rejected():
-    params = make_params(6, 4, 3)
-    with pytest.raises(ad.ContractError):
-        enc.encode_utterance(as_leaves(params), [2, 2], [0, 0], E=3)
 
 
 def grid_of(dialogues, T):

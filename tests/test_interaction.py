@@ -64,7 +64,7 @@ def test_shared_gru_zero_params_halve_the_state():
          for name, shape in it.param_specs(2, 3, 2, False, False, False)}
     h_prev = np.array([[0.4, -0.6, 0.2]])
     x = np.array([[1.0, 2.0, 3.0]])
-    h = it.gru_shared_step(as_leaves(P), ad.constant(x), ad.constant(h_prev))
+    h = it.gru_step(as_leaves(P), "gru_s", ad.constant(x), ad.constant(h_prev))
     assert np.max(np.abs(h.value - 0.5 * h_prev)) <= 1e-15
 
 
@@ -72,7 +72,7 @@ def test_shared_gru_matches_scalar_reference():
     P = make_params(2, 3, 2, seed=3)
     rng = np.random.default_rng(4)
     x, h_prev = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)) * 0.5
-    h = it.gru_shared_step(as_leaves(P), ad.constant(x), ad.constant(h_prev))
+    h = it.gru_step(as_leaves(P), "gru_s", ad.constant(x), ad.constant(h_prev))
     want = gru_shared_ref(x, h_prev, P)
     assert np.max(np.abs(h.value - want)) <= 1e-12
 
@@ -85,7 +85,7 @@ def test_gru_state_stays_in_open_unit_box():
     h = ad.constant(np.zeros((3, 4)))
     for _ in range(20):
         x = ad.constant(rng.normal(size=(3, 4)) * 3.0)
-        h = it.gru_shared_step(as_leaves(P), x, h)
+        h = it.gru_step(as_leaves(P), "gru_s", x, h)
         assert np.all(np.abs(h.value) < 1.0)
 
 

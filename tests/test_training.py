@@ -1,10 +1,13 @@
 """Training machinery: loss fixtures, optimizer trajectory, phase
 isolation, determinism, checkpoints, and batching arithmetic."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stman.autodiff as ad
 import stman.corpus as cp
@@ -268,6 +271,30 @@ def test_batched_adv_value_is_mean_of_singles():
     assert j2.value[0, 0] == pytest.approx(np.mean(singles), abs=1e-10)
 
 
+utterances = st.builds(
+    cp.Utterance, st.sampled_from(cp.SPEAKERS),
+    st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=5),
+    st.sampled_from(cp.SENTIMENTS))
+dialogue_batches = st.lists(
+    st.builds(cp.Dialogue, st.just("d"), st.sampled_from(cp.SATISFACTIONS),
+              st.lists(utterances, min_size=1, max_size=4)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=12, deadline=None)
+@given(dialogue_batches, st.integers(0, 2**16))
+def test_batched_losses_are_mean_of_singles_on_random_batches(dialogues, seed):
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config(seed=seed)
+    params = tr.init_params(cfg, len(vocab))
+    (batch,) = cp.batchify(dialogues, vocab, len(dialogues))
+    singles = [cp.batchify([d], vocab, 1)[0] for d in dialogues]
+    for forward in (lambda b: tr.forward_task(tr.as_leaves(params), b, cfg)[0],
+                    lambda b: tr.forward_adv(tr.as_leaves(params), b, cfg)):
+        want = np.mean([forward(b).value[0, 0] for b in singles])
+        assert abs(forward(batch).value[0, 0] - want) <= 1e-10
+
+
 def test_zero_parameters_predict_exactly_uniform():
     dialogues = toy_dialogues()
     vocab = cp.build_vocab(dialogues, min_count=1)
@@ -430,6 +457,22 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other", "config": {}, "params": {}}')
     with pytest.raises(ValueError, match="format"):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("K", 3.5), ("use_td", "no"), ("seed", True), ("lr", "0.1"), ("adv_phase1", 1),
+])
+def test_checkpoint_rejects_config_field_of_wrong_type(tmp_path, field, value):
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config()
+    path = tmp_path / "model.json"
+    tr.save_checkpoint(path, tr.init_params(cfg, len(vocab)), cfg, len(vocab))
+    payload = json.loads(path.read_text())
+    payload["config"][field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{field} must be "):
         tr.load_checkpoint(path)
 
 
