@@ -31,10 +31,8 @@ __all__ = [
     "hadamard",
     "sigmoid",
     "tanh",
-    "scale",
     "softmax_rows",
     "masked_softmax",
-    "hconcat",
     "hstack",
     "add_bias",
     "scale_columns",
@@ -277,18 +275,6 @@ def tanh(x: Node) -> Node:
     return out
 
 
-def scale(x: Node, c: float) -> Node:
-    c = float(c)
-    out, rec = _record(x.value * c, (x,))
-    if rec:
-
-        def rule():
-            _acc(x, out.grad * c)
-
-        out.backward_rule = rule
-    return out
-
-
 def softmax_rows(x: Node) -> Node:
     # max-subtraction per row for stability
     shifted = x.value - x.value.max(axis=1, keepdims=True)
@@ -332,22 +318,6 @@ def masked_softmax(scores: Node, keep) -> Node:
             g = out.grad
             dot = (g * y).sum(axis=1, keepdims=True)
             _acc(scores, y * (g - dot))
-
-        out.backward_rule = rule
-    return out
-
-
-def hconcat(a: Node, b: Node) -> Node:
-    if a.value.shape[0] != b.value.shape[0]:
-        raise ShapeError(f"hconcat: row counts disagree: {a.value.shape} vs {b.value.shape}")
-    na = a.value.shape[1]
-    out, rec = _record(np.hstack((a.value, b.value)), (a, b))
-    if rec:
-
-        def rule():
-            g = out.grad
-            _acc_copy(a, g[:, :na])
-            _acc_copy(b, g[:, na:])
 
         out.backward_rule = rule
     return out

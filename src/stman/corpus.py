@@ -138,6 +138,7 @@ def parse_corpus(path) -> list[Dialogue]:
             if not isinstance(utts_raw, list) or not utts_raw:
                 raise ParseError(lineno, "utterances must be a non-empty list")
             utts = []
+            escaped = "\\" in raw
             for u in utts_raw:
                 if not isinstance(u, dict):
                     raise ParseError(lineno, "utterance must be a JSON object")
@@ -150,6 +151,10 @@ def parse_corpus(path) -> list[Dialogue]:
                         or not all(isinstance(t, str) and t for t in tokens)):
                     raise ParseError(lineno, "tokens must be a non-empty list of "
                                              "non-empty strings")
+                # JSON can only carry a line break as an escape; the
+                # one-token-per-line vocabulary file cannot hold it
+                if escaped and any("\n" in t or "\r" in t for t in tokens):
+                    raise ParseError(lineno, "tokens must not contain a line break")
                 utts.append(Utterance(speaker, list(tokens), sentiment))
             dialogues.append(Dialogue(did, sat, utts))
     return dialogues

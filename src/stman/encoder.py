@@ -3,12 +3,12 @@ attention pooling, producing one vector of width 2E per utterance.
 
 The batched forward flattens a (B dialogues x L utterances) grid into
 R = L*B rows, position-major (row = t*B + b), so downstream recurrences
-over utterance positions can slice contiguous row blocks. Trailing token
-padding is handled by masks: the forward LSTM direction may run past an
-utterance's end (those states never reach the pooled output because
-attention excludes them), while the backward direction uses
-masked-identity state updates so real positions never see pad garbage.
-An all-pad row pools to the zero vector and is flagged for downstream
+over utterance positions can slice contiguous row blocks. Token padding
+is always trailing, and both LSTM directions zero h and c on pad steps:
+the forward direction reaches them only after every real step, and the
+backward direction starts from them, so it enters each utterance's last
+real token from the zero state. Attention excludes pad steps, so an
+all-pad row pools to the zero vector and is flagged for downstream
 exclusion.
 """
 
@@ -47,9 +47,19 @@ def _lstm_cell(xw, h, c, U, b, E):
     return h_new, c_new
 
 
-def _masked_update(prev, new, m_col):
-    # prev + m * (new - prev): rows with m=0 keep their state untouched
-    return ad.add(prev, ad.scale_columns(ad.sub(new, prev), m_col))
+def _lstm_run(XW, U, b, mask, E, steps):
+    """One LSTM direction over the token steps in the given order; h and
+    c are zeroed on pad steps. Returns the hidden state of each step."""
+    R, T = mask.shape
+    h = c = ad.constant(np.zeros((R, E)))
+    out = [None] * T
+    for j in steps:
+        xw = ad.slice_rows(XW, j * R, (j + 1) * R)
+        h, c = _lstm_cell(xw, h, c, U, b, E)
+        m_col = ad.constant(mask[:, j : j + 1].astype(np.float64))
+        h, c = ad.scale_columns(h, m_col), ad.scale_columns(c, m_col)
+        out[j] = h
+    return out
 
 
 def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
@@ -68,28 +78,12 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
     # rows of the gathered block are ordered (token step, utterance row)
     flat_ids = grid.T.reshape(-1)
     X = ad.gather_rows(P["enc.emb"], flat_ids)
-    XWf = ad.matmul(X, P["enc.lstm_f.W"])
-    XWb = ad.matmul(X, P["enc.lstm_b.W"])
+    fwd = _lstm_run(ad.matmul(X, P["enc.lstm_f.W"]), P["enc.lstm_f.U"],
+                    P["enc.lstm_f.b"], mask, E, range(T))
+    bwd = _lstm_run(ad.matmul(X, P["enc.lstm_b.W"]), P["enc.lstm_b.U"],
+                    P["enc.lstm_b.b"], mask, E, range(T - 1, -1, -1))
 
-    zeros = ad.constant(np.zeros((R, E)))
-    h, c = zeros, zeros
-    fwd = []
-    for j in range(T):
-        xw = ad.slice_rows(XWf, j * R, (j + 1) * R)
-        h, c = _lstm_cell(xw, h, c, P["enc.lstm_f.U"], P["enc.lstm_f.b"], E)
-        fwd.append(h)
-
-    h, c = zeros, zeros
-    bwd = [None] * T
-    for j in range(T - 1, -1, -1):
-        xw = ad.slice_rows(XWb, j * R, (j + 1) * R)
-        h_new, c_new = _lstm_cell(xw, h, c, P["enc.lstm_b.U"], P["enc.lstm_b.b"], E)
-        m_col = ad.constant(mask[:, j : j + 1].astype(np.float64))
-        h = _masked_update(h, h_new, m_col)
-        c = _masked_update(c, c_new, m_col)
-        bwd[j] = h
-
-    states = [ad.hconcat(fwd[j], bwd[j]) for j in range(T)]
+    states = [ad.hstack([fwd[j], bwd[j]]) for j in range(T)]
     scores = ad.hstack([
         ad.tanh(ad.add_bias(ad.matmul(states[j], P["enc.att.w"]), P["enc.att.b"]))
         for j in range(T)

@@ -33,7 +33,6 @@ __all__ = [
     "ablate",
     "toy_setup",
     "load_config",
-    "load_report",
     "main",
 ]
 
@@ -268,7 +267,7 @@ def load_config(path) -> ModelConfig:
 
 
 def _coerce(key: str, value: str, type_name: str, where: str):
-    base = {"int": int, "float": float, "str": str, "bool": bool}[type_name]
+    base = {"int": int, "float": float, "bool": bool}[type_name]
     if base is bool:
         if value.lower() not in _BOOL_STRINGS:
             raise ValueError(f"{where}: {key} expects true/false, got {value!r}")
@@ -304,14 +303,6 @@ def _dump_json(payload, path=None) -> str:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return text
-
-
-def load_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: report must be a JSON object")
-    return payload
 
 
 def _table(headers: list[str], rows: list[list]) -> str:

@@ -67,7 +67,7 @@ def use_decode_steps(P: dict, H_m: list, keep: np.ndarray,
         l_term = ad.scale_columns(h, ad.constant(last_onehot[:, t : t + 1]))
         pooled = p_term if pooled is None else ad.add(pooled, p_term)
         last = l_term if last is None else ad.add(last, l_term)
-    o = ad.hconcat(pooled, last)
+    o = ad.hstack([pooled, last])
     p_m = ad.softmax_rows(ad.add_bias(ad.matmul(o, P["use.W_o"]), P["use.b_o"]))
     return p_m, alpha
 

@@ -97,23 +97,21 @@ def _task_stream(P: dict, task: str, X: ad.Node, turn_cols, B: int, L: int,
     for t in range(L):
         x_t = ad.slice_rows(X, t * B, (t + 1) * B)
         h_s = gru_step(P, "gru_s", x_t, h_s)
-        x_aug = x_t if turn_cols is None else ad.hconcat(x_t, turn_cols[t])
+        x_aug = x_t if turn_cols is None else ad.hstack([x_t, turn_cols[t]])
         h_k = gru_task_step(P, task, x_aug, h_k, h_s)
         steps.append(h_k)
     return steps
 
 
 def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, B: int, L: int,
-                    K: int, use_st: bool, use_aux: bool, use_td: bool):
+                    K: int, use_st: bool, use_aux: bool):
     """V is (L*B, 2E) position-major; turn is the (B, L) flag grid.
 
-    Returns (X_m, X_a, H_m, H_a): the projected feature matrices and the
-    per-step private hidden states (lists of (B, K) nodes). X_a is built
-    whenever the SA stream or the discriminator needs it; H_a only for
-    the SA stream.
+    Returns (H_m, H_a): the per-step private hidden states of each task
+    stream (lists of (B, K) nodes); H_a is None without the SA stream.
     """
     X_m = project(P, V, "m")
-    X_a = project(P, V, "a") if (use_aux or use_td) else None
+    X_a = project(P, V, "a") if use_aux else None
 
     turn_cols = None
     if use_st:
@@ -121,4 +119,4 @@ def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, B: int, L: int,
 
     H_m = _task_stream(P, "m", X_m, turn_cols, B, L, K)
     H_a = _task_stream(P, "a", X_a, turn_cols, B, L, K) if use_aux else None
-    return X_m, X_a, H_m, H_a
+    return H_m, H_a

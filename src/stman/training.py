@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -58,8 +59,7 @@ CHECKPOINT_FORMAT = "stman-checkpoint-v1"
 
 # accepted value types per ModelConfig field annotation; a float field
 # also takes an int
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-                "bool": bool}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass
@@ -84,11 +84,6 @@ class ModelConfig:
     use_mask: bool = True
     use_aux: bool = True
     min_count: int = 1
-    # which parameters the maximization half of Phase 1 updates besides
-    # the discriminator: the task-specific dense layers, or the decoders
-    adv_theta_k: str = "dense"
-    # run Phase 1 every epoch, or only on the first
-    adv_phase1: str = "every"
     # fraction of training dialogues participating in Phase 1; 0 skips it
     adv_fraction: float = 1.0
 
@@ -99,6 +94,8 @@ class ModelConfig:
             if (not isinstance(value, _FIELD_TYPES[f.type])
                     or isinstance(value, bool) != (f.type == "bool")):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("K", "Z", "H", "D", "E", "batch", "epochs", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -110,10 +107,6 @@ class ModelConfig:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0.0 <= self.momentum_mu < 1.0:
             raise ValueError(f"momentum_mu must be in [0, 1), got {self.momentum_mu}")
-        if self.adv_theta_k not in ("dense", "heads"):
-            raise ValueError(f"adv_theta_k must be 'dense' or 'heads', got {self.adv_theta_k!r}")
-        if self.adv_phase1 not in ("every", "first"):
-            raise ValueError(f"adv_phase1 must be 'every' or 'first', got {self.adv_phase1!r}")
         if not 0.0 <= self.adv_fraction <= 1.0:
             raise ValueError(f"adv_fraction must be in [0, 1], got {self.adv_fraction}")
 
@@ -188,17 +181,17 @@ def fingerprint(params: dict[str, np.ndarray], prefixes=("",)) -> str:
     return h.hexdigest()
 
 
-def group_names(params: dict, cfg: ModelConfig, group: str) -> list[str]:
-    """Parameter-name selectors for the update phases."""
+def group_names(params: dict, group: str) -> list[str]:
+    """Parameter-name selectors for the update phases; "theta_k" is the
+    task-specific dense layers that Phase 1 maximizes with the
+    discriminator."""
     names = sorted(params)
     if group == "enc":
         return [n for n in names if n.startswith("enc.")]
     if group == "td":
         return [n for n in names if n.startswith("td.")]
     if group == "theta_k":
-        if cfg.adv_theta_k == "dense":
-            return [n for n in names if n.startswith("proj.")]
-        return [n for n in names if n.startswith(("use.", "sa."))]
+        return [n for n in names if n.startswith("proj.")]
     if group == "task":
         return [n for n in names if not n.startswith("td.")]
     raise ValueError(f"unknown parameter group {group!r}")
@@ -282,8 +275,8 @@ def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
     B, L, _ = batch.ids.shape
     rate = cfg.dropout if train_mode else 0.0
     V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, rate, drop_rng)
-    _, _, H_m, H_a = interaction.run_interaction(
-        P, V, batch.turn, B, L, cfg.K, cfg.use_st, cfg.use_aux, use_td=False)
+    H_m, H_a = interaction.run_interaction(P, V, batch.turn, B, L, cfg.K,
+                                           cfg.use_st, cfg.use_aux)
     keep = (batch.is_user & batch.utt_valid) if cfg.use_mask else batch.utt_valid
     p_m, _ = heads.use_decode_steps(P, H_m, keep, _last_valid_onehot(batch.utt_valid))
     sa_probs = heads.sa_decode(P, H_a) if cfg.use_aux else None
@@ -362,9 +355,7 @@ def train_epoch(params: dict, velocities: dict, train_dialogues: list,
     batches = cp.batchify(ordered, vocab, cfg.batch)
 
     adv_value = None
-    run_phase1 = (cfg.use_td and cfg.adv_fraction > 0.0
-                  and (cfg.adv_phase1 == "every" or epoch == 0))
-    if run_phase1:
+    if cfg.use_td and cfg.adv_fraction > 0.0:
         adv_dialogues = [d for d in ordered if d.id in adv_ids]
         total = 0.0
         seen = 0
@@ -372,13 +363,12 @@ def train_epoch(params: dict, velocities: dict, train_dialogues: list,
             grads, _ = _grads_of(params, lambda P: forward_adv(
                 P, batch, cfg, train_mode=True, drop_rng=drop_rng))
             momentum_step(params, velocities, grads, lr, cfg.momentum_mu,
-                          group_names(params, cfg, "enc"))
+                          group_names(params, "enc"))
             grads, value = _grads_of(params, lambda P: forward_adv(
                 P, batch, cfg, train_mode=True, drop_rng=drop_rng))
             ascent = {n: None if g is None else -g for n, g in grads.items()}
             momentum_step(params, velocities, ascent, lr, cfg.momentum_mu,
-                          group_names(params, cfg, "td")
-                          + group_names(params, cfg, "theta_k"))
+                          group_names(params, "td") + group_names(params, "theta_k"))
             total += value * batch.size
             seen += batch.size
         adv_value = total / seen if seen else None
@@ -388,7 +378,7 @@ def train_epoch(params: dict, velocities: dict, train_dialogues: list,
         grads, value = _grads_of(params, lambda P: forward_task(
             P, batch, cfg, train_mode=True, drop_rng=drop_rng)[0])
         momentum_step(params, velocities, grads, lr, cfg.momentum_mu,
-                      group_names(params, cfg, "task"))
+                      group_names(params, "task"))
         total += value * batch.size
     return {"epoch": epoch, "lr": lr,
             "task_loss": total / len(train_dialogues),

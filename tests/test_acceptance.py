@@ -158,10 +158,8 @@ def test_criterion_3_oracle_equivalence():
     V = rng.normal(size=(L, 2 * E)) * 0.5
     flags = [1, 0, 1]
     leaves = {k: ad.leaf(v) for k, v in P.items()}
-    _, _, H_m, H_a = it.run_interaction(leaves, ad.constant(V),
-                                        np.array([flags]), 1, L, K,
-                                        use_st=True, use_aux=True,
-                                        use_td=True)
+    H_m, H_a = it.run_interaction(leaves, ad.constant(V), np.array([flags]),
+                                  1, L, K, use_st=True, use_aux=True)
     for x_ref, H, prefix in (
             (np.tanh(V @ P["proj.m.W"] + P["proj.m.b"]), H_m, "gru_m"),
             (np.tanh(V @ P["proj.a.W"] + P["proj.a.b"]), H_a, "gru_a")):
@@ -214,7 +212,7 @@ def test_criterion_6_adversarial_mechanics():
     velocities = {n: np.zeros_like(a) for n, a in params.items()}
     (batch,) = cp.batchify(dialogues, vocab, 1)
     enc_before = tr.fingerprint(params, ("enc.",))
-    td_names = tr.group_names(params, cfg, "td")
+    td_names = tr.group_names(params, "td")
     crossed = None
     for step in range(1, 201):
         grads, _ = tr._grads_of(params,
@@ -237,7 +235,7 @@ def test_criterion_6_adversarial_mechanics():
         grads2, before = tr._grads_of(
             params2, lambda P: tr.forward_adv(P, batch2, cfg2))
         tr.momentum_step(params2, vel2, grads2, 1e-3, cfg2.momentum_mu,
-                         tr.group_names(params2, cfg2, "enc"))
+                         tr.group_names(params2, "enc"))
         after = tr.forward_adv(tr.as_leaves(params2), batch2, cfg2).value[0, 0]
         assert after <= before + 1e-12, f"objective rose on init {seed}"
 

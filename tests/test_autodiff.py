@@ -147,12 +147,12 @@ def test_masked_softmax_matches_high_precision_oracle():
 
 
 def test_concat_fixture_and_contracts():
-    out = ad.hconcat(ad.constant([1.0]), ad.constant([2.0, 3.0]))
+    out = ad.hstack([ad.constant([1.0]), ad.constant([2.0, 3.0])])
     assert np.array_equal(out.value, [[1.0, 2.0, 3.0]])
     with pytest.raises(ad.ShapeError):
         ad.leaf(np.zeros((1, 0)))  # zero-width operands cannot exist
     with pytest.raises(ad.ShapeError):
-        ad.hconcat(ad.constant(np.zeros((2, 2))), ad.constant([1.0]))
+        ad.hstack([ad.constant(np.zeros((2, 2))), ad.constant([1.0])])
 
 
 def test_backward_square():
@@ -242,7 +242,8 @@ def test_fanout_accumulates_per_consumer():
     x = ad.leaf([[1.5]])
     with ad.Tape() as tape:
         y = ad.tanh(x)
-        loss = ad.sum_all(ad.add(ad.hadamard(y, y), ad.scale(y, 3.0)))
+        loss = ad.sum_all(ad.add(ad.hadamard(y, y),
+                                 ad.hadamard(y, ad.constant([[3.0]]))))
         tape.backward(loss)
     t = np.tanh(1.5)
     want = (2.0 * t + 3.0) * (1.0 - t * t)
@@ -296,7 +297,6 @@ def test_every_op_against_finite_differences():
         s = rng.normal(size=(m, n))
         w_mn = rng.normal(size=(m, n))
         w_mp = rng.normal(size=(m, p))
-        c = float(rng.normal())
 
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.matmul(ls[0], ls[1]),
                                                    ad.constant(w_mp))), [a, b])
@@ -307,7 +307,6 @@ def test_every_op_against_finite_differences():
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ls[0], ls[1])), [a, s])
         fd_check(lambda ls: ad.sum_all(ad.sigmoid(ls[0])), [a])
         fd_check(lambda ls: ad.sum_all(ad.tanh(ls[0])), [a])
-        fd_check(lambda ls: ad.sum_all(ad.scale(ls[0], c)), [a])
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.softmax_rows(ls[0]),
                                                    ad.constant(w_mn))), [a])
 
@@ -318,7 +317,7 @@ def test_every_op_against_finite_differences():
                                                    ad.constant(w_mn))), [a])
 
         w_cat = rng.normal(size=(m, 2 * n))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.hconcat(ls[0], ls[1]),
+        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.hstack([ls[0], ls[1]]),
                                                    ad.constant(w_cat))), [a, s])
         w_three = rng.normal(size=(m, 3 * n))
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.hstack(list(ls)),

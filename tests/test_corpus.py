@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stman import corpus as cp
@@ -78,6 +78,61 @@ def test_parse_rejects_duplicate_id_naming_both_lines(tmp_path):
                                             r"\(first on line 1\)") as exc:
         cp.parse_corpus(path)
     assert exc.value.line == 3
+
+
+def _record(did, tokens_json):
+    return ('{"id": "%s", "satisfaction": "met", "utterances": [{"speaker": '
+            '"user", "tokens": [%s], "sentiment": "neutral"}]}' % (did, tokens_json))
+
+
+@pytest.mark.parametrize("tokens_json", [
+    r'"ok", "a\nb"', r'"a\rb"', r'"\u000a"', r'"x\u000Dy"', r'"\n"',
+], ids=["n", "r", "u000a", "u000D", "only-n"])
+def test_parse_rejects_token_with_line_break(tmp_path, tokens_json):
+    # the vocabulary file holds one token per line, so such a corpus
+    # would train but its checkpoint's vocabulary could not be read back
+    path = tmp_path / "c.jsonl"
+    path.write_text(_record("a", '"fine"') + "\n" + _record("b", tokens_json) + "\n")
+    with pytest.raises(cp.ParseError, match="line 2: tokens must not contain "
+                                            "a line break") as exc:
+        cp.parse_corpus(path)
+    assert exc.value.line == 2
+
+
+def test_parse_keeps_literal_backslash_tokens(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(_record("a", r'"a\\nb", "\\r", "tab\there"') + "\n")
+    (d,) = cp.parse_corpus(path)
+    assert d.utterances[0].tokens == ["a\\nb", "\\r", "tab\there"]
+
+
+# arbitrary unicode without line breaks or lone surrogates (UTF-8 cannot
+# encode those)
+TOKENS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"),
+                 min_size=1, max_size=6)
+UTTERANCES = st.builds(cp.Utterance, st.sampled_from(cp.SPEAKERS),
+                       st.lists(TOKENS, min_size=1, max_size=4),
+                       st.sampled_from(cp.SENTIMENTS))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(cp.SATISFACTIONS),
+                          st.lists(UTTERANCES, min_size=1, max_size=3)),
+                min_size=1, max_size=3))
+def test_write_parse_roundtrip_on_unicode_tokens(tmp_path_factory, records):
+    dialogues = [cp.Dialogue(f"d{i}", sat, utts) for i, (sat, utts) in enumerate(records)]
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    cp.write_corpus(dialogues, path)
+    assert cp.parse_corpus(path) == dialogues
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(TOKENS, min_size=1, max_size=8, unique=True))
+def test_vocab_save_load_roundtrip_on_unicode_tokens(tmp_path_factory, tokens):
+    vocab = cp.Vocabulary({tok: i + 2 for i, tok in enumerate(tokens)})
+    path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
+    cp.save_vocab(vocab, path)
+    assert cp.load_vocab(path).items() == vocab.items()
 
 
 # -------------------------------------------------------------- relabeling

@@ -11,6 +11,13 @@ import stman.training as tr
 from oracles import accuracy_oracle, confusion_oracle, macro_f1_oracle
 
 
+def load_report(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert isinstance(report, dict)
+    return report
+
+
 # ----------------------------------------------------------------- metrics
 
 
@@ -154,12 +161,12 @@ def test_load_config_parses_types_and_comments(tmp_path):
         "K = 8\n"
         "dropout=0.1\n"
         "use_td = false\n"
-        "adv_theta_k = heads\n"
+        "adv_fraction = 0.5\n"
         "seed=3\n")
     cfg = ev.load_config(path)
     assert cfg.K == 8 and cfg.dropout == 0.1 and cfg.seed == 3
     assert cfg.use_td is False
-    assert cfg.adv_theta_k == "heads"
+    assert cfg.adv_fraction == 0.5
     assert cfg.E == tr.ModelConfig().E  # untouched fields keep defaults
 
 
@@ -169,6 +176,7 @@ def test_load_config_parses_types_and_comments(tmp_path):
     ("K=large", "expects int"),
     ("use_td=maybe", "true/false"),
     ("dropout=2.0", "dropout"),
+    ("lr = inf", "lr must be finite"),
 ])
 def test_load_config_rejects_bad_lines(tmp_path, line, fragment):
     path = tmp_path / "bad.cfg"
@@ -285,7 +293,7 @@ def test_cli_train_eval_roundtrip(tmp_path, capsys, monkeypatch):
     assert "best epoch" in capsys.readouterr().out
     params, cfg, _ = tr.load_checkpoint(ckpt)
     assert cfg.use_td is False and cfg.epochs == 2
-    history = ev.load_report(ckpt + ".history.json")
+    history = load_report(ckpt + ".history.json")
     assert len(history["history"]) == 2
 
     report_path = str(tmp_path / "report.json")
@@ -293,7 +301,7 @@ def test_cli_train_eval_roundtrip(tmp_path, capsys, monkeypatch):
                     "--out", report_path])
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
-    stored = ev.load_report(report_path)
+    stored = load_report(report_path)
     assert printed == stored
     assert stored["split"] == "test"
     assert stored["n_dialogues"] == 4
@@ -314,18 +322,18 @@ def test_cli_ablate_and_sweep_and_analyze(tmp_path, capsys):
     table = capsys.readouterr().out
     for name in tr.VARIANTS:
         assert name in table
-    assert set(ev.load_report(out)["variants"]) == set(tr.VARIANTS)
+    assert set(load_report(out)["variants"]) == set(tr.VARIANTS)
 
     out = str(tmp_path / "sweep.json")
     assert ev.main(["sweep", "--corpus", corpus, "--fractions", "0,1",
                     "--seeds", "1", "--config", cfg, "--out", out]) == 0
     assert "fraction" in capsys.readouterr().out
-    assert len(ev.load_report(out)["fractions"]) == 2
+    assert len(load_report(out)["fractions"]) == 2
 
     out = str(tmp_path / "analyze.json")
     assert ev.main(["analyze", "--corpus", corpus, "--out", out]) == 0
     assert "baseline" in capsys.readouterr().out
-    report = ev.load_report(out)
+    report = load_report(out)
     assert report["n_dialogues"] == 30
     assert "correlation" in report and "baseline_final" in report
 

@@ -187,8 +187,7 @@ def test_use_gradients_match_finite_differences():
     def build(leaves):
         H_m = [ad.constant(states[t]) for t in range(L)]
         p_m, _ = hd.use_decode_steps(leaves, H_m, keep, last)
-        return ad.scale(ad.sum_all(ad.hadamard(ad.log_clamped(p_m),
-                                               ad.constant(target))), -1.0)
+        return ad.sum_all(ad.hadamard(ad.log_clamped(p_m), ad.constant(-target)))
 
     names = sorted(P)
     leaves = as_leaves(P)

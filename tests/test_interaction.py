@@ -142,12 +142,13 @@ def test_run_interaction_matches_dialogue_oracle():
     V = rng.normal(size=(L, 2 * E)) * 0.5
     flags = [1, 0, 1]
 
-    (X_m, X_a, H_m, H_a), _ = run_toy(P, V, np.array([flags]), 1, L, K,
-                                      use_st=True, use_aux=True, use_td=True)
+    (H_m, H_a), leaves = run_toy(P, V, np.array([flags]), 1, L, K,
+                                 use_st=True, use_aux=True)
     # scalar recurrence, one dialogue
     x_m = np.tanh(V @ P["proj.m.W"] + P["proj.m.b"])
     x_a = np.tanh(V @ P["proj.a.W"] + P["proj.a.b"])
-    for X, x_ref in ((X_m, x_m), (X_a, x_a)):
+    for task, x_ref in (("m", x_m), ("a", x_a)):
+        X = it.project(leaves, ad.constant(V), task)
         assert np.max(np.abs(X.value - x_ref)) <= 1e-12
     for x_ref, H, prefix in ((x_m, H_m, "gru_m"), (x_a, H_a, "gru_a")):
         h_s = np.zeros((1, K))
@@ -166,12 +167,11 @@ def test_batches_are_independent():
     rng = np.random.default_rng(14)
     V = rng.normal(size=(L * B, 2 * E))
     turn = np.array([[0, 1], [1, 1]])
-    (X_m, X_a, H_m, H_a), _ = run_toy(P, V, turn, B, L, K,
-                                      use_st=True, use_aux=True, use_td=False)
+    (H_m, H_a), _ = run_toy(P, V, turn, B, L, K, use_st=True, use_aux=True)
     for b in range(B):
         Vb = np.vstack([V[t * B + b] for t in range(L)])
-        (Xm1, Xa1, Hm1, Ha1), _ = run_toy(P, Vb, turn[b : b + 1], 1, L, K,
-                                          use_st=True, use_aux=True, use_td=False)
+        (Hm1, Ha1), _ = run_toy(P, Vb, turn[b : b + 1], 1, L, K,
+                                use_st=True, use_aux=True)
         for t in range(L):
             assert np.max(np.abs(H_m[t].value[b] - Hm1[t].value[0])) <= 1e-12
             assert np.max(np.abs(H_a[t].value[b] - Ha1[t].value[0])) <= 1e-12
@@ -183,10 +183,10 @@ def test_turn_flag_changes_only_later_steps():
     V = np.random.default_rng(16).normal(size=(L, 2 * E))
     turn_a = np.array([[0, 1, 1, 0]])
     turn_b = np.array([[0, 1, 0, 0]])  # differs at t=2
-    (_, _, Ha, _), _ = run_toy(P, V, turn_a, 1, L, K,
-                               use_st=True, use_aux=False, use_td=False)
-    (_, _, Hb, _), _ = run_toy(P, V, turn_b, 1, L, K,
-                               use_st=True, use_aux=False, use_td=False)
+    (Ha, _), _ = run_toy(P, V, turn_a, 1, L, K,
+                         use_st=True, use_aux=False)
+    (Hb, _), _ = run_toy(P, V, turn_b, 1, L, K,
+                         use_st=True, use_aux=False)
     for t in range(2):
         assert np.array_equal(Ha[t].value, Hb[t].value)
     for t in range(2, L):
@@ -202,13 +202,13 @@ def test_streams_coincide_only_when_private_params_do():
         for part in ("W", "U", "Us"):
             P[f"gru_a.{part}_{g}"] = P[f"gru_m.{part}_{g}"].copy()
     V = np.random.default_rng(18).normal(size=(L, 2 * E))
-    (_, _, H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L, K,
-                                  use_st=False, use_aux=True, use_td=False)
+    (H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L, K,
+                            use_st=False, use_aux=True)
     for t in range(L):
         assert np.array_equal(H_m[t].value, H_a[t].value)
     P["proj.a.W"] = P["proj.a.W"] + 0.05
-    (_, _, H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L, K,
-                                  use_st=False, use_aux=True, use_td=False)
+    (H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L, K,
+                            use_st=False, use_aux=True)
     assert np.max(np.abs(H_m[L - 1].value - H_a[L - 1].value)) > 1e-8
 
 
@@ -229,10 +229,10 @@ def test_zero_turn_embedding_matches_variant_without_it():
             P_off[name] = value
     V = np.random.default_rng(20).normal(size=(L, 2 * E))
     turn = np.array([[0, 1, 1]])
-    (_, _, Ha, _), _ = run_toy(P, V, turn, 1, L, K,
-                               use_st=True, use_aux=True, use_td=False)
-    (_, _, Hb, _), _ = run_toy(P_off, V, turn, 1, L, K,
-                               use_st=False, use_aux=True, use_td=False)
+    (Ha, _), _ = run_toy(P, V, turn, 1, L, K,
+                         use_st=True, use_aux=True)
+    (Hb, _), _ = run_toy(P_off, V, turn, 1, L, K,
+                         use_st=False, use_aux=True)
     for t in range(L):
         assert np.max(np.abs(Ha[t].value - Hb[t].value)) <= 1e-13
 
@@ -244,9 +244,9 @@ def test_shared_gru_receives_gradient_from_both_streams():
     for task_index in (0, 1):
         leaves = as_leaves(P)
         with ad.Tape() as tape:
-            _, _, H_m, H_a = it.run_interaction(
+            H_m, H_a = it.run_interaction(
                 leaves, ad.constant(V), np.zeros((1, L), dtype=int), 1, L, K,
-                use_st=False, use_aux=True, use_td=False)
+                use_st=False, use_aux=True)
             H = (H_m, H_a)[task_index]
             tape.backward(ad.sum_all(H[L - 1]))
         assert leaves["gru_s.W_r"].grad is not None
@@ -268,9 +268,9 @@ def test_gradients_match_finite_differences():
     w_a = rng.normal(size=(B, K))
 
     def build(leaves):
-        _, _, H_m, H_a = it.run_interaction(
+        H_m, H_a = it.run_interaction(
             leaves, ad.constant(V), turn, B, L, K,
-            use_st=True, use_aux=True, use_td=False)
+            use_st=True, use_aux=True)
         return ad.add(ad.sum_all(ad.hadamard(H_m[L - 1], ad.constant(w_m))),
                       ad.sum_all(ad.hadamard(H_a[L - 1], ad.constant(w_a))))
 

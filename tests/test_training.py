@@ -63,7 +63,7 @@ def test_variant_table():
 def test_config_validation_rejects_bad_values():
     for bad in (dict(K=0), dict(dropout=1.0), dict(dropout=-0.1),
                 dict(lr=0.0), dict(lr_decay=0.0), dict(momentum_mu=1.0),
-                dict(adv_theta_k="everything"), dict(adv_phase1="never"),
+                dict(lr=math.nan), dict(lr=math.inf), dict(dropout=-math.inf),
                 dict(adv_fraction=1.5), dict(epochs=0)):
         with pytest.raises(ValueError):
             small_config(**bad).validate()
@@ -103,19 +103,16 @@ def test_variant_parameter_allocation():
 def test_group_names_partition_updates():
     cfg = small_config()
     params = tr.init_params(cfg, 12)
-    enc = tr.group_names(params, cfg, "enc")
-    td = tr.group_names(params, cfg, "td")
-    task = tr.group_names(params, cfg, "task")
-    dense = tr.group_names(params, cfg, "theta_k")
+    enc = tr.group_names(params, "enc")
+    td = tr.group_names(params, "td")
+    task = tr.group_names(params, "task")
+    dense = tr.group_names(params, "theta_k")
     assert all(n.startswith("enc.") for n in enc)
     assert all(n.startswith("td.") for n in td)
     assert set(task) == set(params) - set(td)
     assert set(dense) == {n for n in params if n.startswith("proj.")}
-    heads_cfg = small_config(adv_theta_k="heads")
-    picked = tr.group_names(params, heads_cfg, "theta_k")
-    assert set(picked) == {n for n in params if n.startswith(("use.", "sa."))}
     with pytest.raises(ValueError):
-        tr.group_names(params, cfg, "everything")
+        tr.group_names(params, "everything")
 
 
 def test_fingerprint_tracks_content():
@@ -346,8 +343,7 @@ def test_maximization_step_leaves_encoder_untouched():
     grads, _ = tr._grads_of(params, lambda P: tr.forward_adv(P, batch, cfg))
     ascent = {n: None if g is None else -g for n, g in grads.items()}
     tr.momentum_step(params, velocities, ascent, 0.1, 0.9,
-                     tr.group_names(params, cfg, "td")
-                     + tr.group_names(params, cfg, "theta_k"))
+                     tr.group_names(params, "td") + tr.group_names(params, "theta_k"))
     assert tr.fingerprint(params, ("enc.",)) == enc_before
     assert tr.fingerprint(params, ("td.",)) != td_before
     assert tr.fingerprint(params, ("proj.",)) != proj_before
@@ -364,7 +360,7 @@ def test_minimization_step_leaves_discriminator_untouched():
     enc_before = tr.fingerprint(params, ("enc.",))
     grads, _ = tr._grads_of(params, lambda P: tr.forward_adv(P, batch, cfg))
     tr.momentum_step(params, velocities, grads, 0.1, 0.9,
-                     tr.group_names(params, cfg, "enc"))
+                     tr.group_names(params, "enc"))
     assert tr.fingerprint(params, ("td.",)) == td_before
     assert tr.fingerprint(params, ("enc.",)) != enc_before
 
@@ -385,15 +381,6 @@ def test_epoch_without_adversarial_sample_never_touches_discriminator():
     assert tr.fingerprint(params, ("td.",)) == td_before
     assert tr.fingerprint(params, ("enc.",)) != tr.fingerprint(
         tr.init_params(cfg, len(vocab)), ("enc.",))
-
-
-def test_phase1_first_only_runs_on_epoch_zero():
-    corpus = cp.generate_synthetic(24, correlation_q=0.9, seed=5)
-    split = cp.CorpusSplit(train=corpus, dev=[], test=[])
-    cfg = small_config(adv_phase1="first", epochs=2, batch=8)
-    result = tr.train(split, cfg)
-    assert result.history[0]["adv_value"] is not None
-    assert result.history[1]["adv_value"] is None
 
 
 # ------------------------------------------------------------- whole runs
@@ -461,7 +448,9 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("K", 3.5), ("use_td", "no"), ("seed", True), ("lr", "0.1"), ("adv_phase1", 1),
+    ("K", 3.5), ("use_td", "no"), ("seed", True), ("lr", "0.1"),
+    # the JSON file carries these as NaN and -Infinity
+    ("lr", math.nan), ("momentum_mu", -math.inf),
 ])
 def test_checkpoint_rejects_config_field_of_wrong_type(tmp_path, field, value):
     dialogues = toy_dialogues()
@@ -474,6 +463,29 @@ def test_checkpoint_rejects_config_field_of_wrong_type(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"^{field} must be "):
         tr.load_checkpoint(path)
+
+
+def test_checkpoint_with_retired_schedule_keys_loads_and_predicts(tmp_path):
+    # checkpoints written before the adv_theta_k and adv_phase1 fields
+    # were dropped carry them in their config
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config()
+    params = tr.init_params(cfg, len(vocab))
+    path = tmp_path / "model.json"
+    tr.save_checkpoint(path, params, cfg, len(vocab))
+    payload = json.loads(path.read_text())
+    payload["config"].update(adv_theta_k="dense", adv_phase1="every")
+    path.write_text(json.dumps(payload))
+    loaded, cfg2, _ = tr.load_checkpoint(path)
+    assert cfg2 == cfg
+    (batch,) = cp.batchify(dialogues, vocab, 2)
+    _, p_want, sa_want = tr.forward_task(tr.as_leaves(params), batch, cfg)
+    _, p_got, sa_got = tr.forward_task(tr.as_leaves(loaded), batch, cfg2)
+    assert np.array_equal(p_got.value, p_want.value)
+    assert all(np.array_equal(g.value, w.value) for g, w in zip(sa_got, sa_want))
+    assert (tr.predict(loaded, dialogues, vocab, cfg2)
+            == tr.predict(params, dialogues, vocab, cfg))
 
 
 def test_checkpoint_rejects_missing_and_misshapen_params(tmp_path):
