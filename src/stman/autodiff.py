@@ -41,6 +41,9 @@ __all__ = [
     "gather_rows",
     "slice_rows",
     "slice_cols",
+    "reshape",
+    "packed_sum",
+    "lstm_seq",
     "dropout",
     "LOG_EPS",
 ]
@@ -451,6 +454,138 @@ def slice_cols(x: Node, start: int, stop: int) -> Node:
             if x.grad is None:
                 x.grad = np.zeros_like(x.value)
             x.grad[:, start:stop] += out.grad
+
+        out.backward_rule = rule
+    return out
+
+
+def reshape(x: Node, rows: int, cols: int) -> Node:
+    """The values of x, read in row-major order, as a rows x cols matrix."""
+    if rows * cols != x.value.size:
+        raise ShapeError(f"reshape: cannot view {x.value.shape} as ({rows}, {cols})")
+    out, rec = _record(x.value.reshape(rows, cols).copy(), (x,))
+    if rec:
+
+        def rule():
+            _acc_copy(x, out.grad.reshape(x.value.shape))
+
+        out.backward_rule = rule
+    return out
+
+
+def _step_offsets(op: str, counts, rows: int) -> np.ndarray:
+    """Row offsets of the steps of a packed sequence: step j holds rows
+    offs[j]:offs[j+1]. Counts must be positive and never increase."""
+    n = np.asarray(counts, dtype=np.intp).reshape(-1)
+    if n.size < 1 or n[-1] < 1 or np.any(n[1:] > n[:-1]):
+        raise ContractError(f"{op}: step counts must be positive and non-increasing")
+    offs = np.zeros(n.size + 1, dtype=np.intp)
+    np.cumsum(n, out=offs[1:])
+    if offs[-1] != rows:
+        raise ShapeError(f"{op}: step counts sum to {offs[-1]}, operand has {rows} rows")
+    return offs
+
+
+def packed_sum(x: Node, counts) -> Node:
+    """Sum a packed sequence over its steps.
+
+    ``x`` is step-major: step j holds ``counts[j]`` rows, and they are
+    rows 0..counts[j]-1 of that step (sequences sorted longest first).
+    Row r of the (counts[0], M) result adds row r of every step that has
+    one, in step order.
+    """
+    offs = _step_offsets("packed_sum", counts, x.value.shape[0])
+    xv = x.value
+    v = xv[: offs[1]].copy()
+    for lo, hi in zip(offs[1:-1], offs[2:]):
+        v[: hi - lo] += xv[lo:hi]
+    out, rec = _record(v, (x,))
+    if rec:
+
+        def rule():
+            g = out.grad
+            dx = np.empty_like(xv)
+            for lo, hi in zip(offs[:-1], offs[1:]):
+                dx[lo:hi] = g[: hi - lo]
+            _acc(x, dx)
+
+        out.backward_rule = rule
+    return out
+
+
+def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
+    """One LSTM direction over a packed batch of sequences, as one node.
+
+    ``XW`` (N, 4E) holds the input projections of every real step in the
+    layout of ``packed_sum``; ``U`` is (E, 4E) and ``b`` (1, 4E), gate
+    layout i|f|o|g. Forward runs the steps in order from the zero state
+    and drops the state of sequences that have ended. With ``reverse``
+    the steps run last to first, and a sequence enters at its last step
+    from the zero state. Returns the (N, E) hidden states, row-aligned
+    with ``XW``. Backward is hand-derived BPTT over the stored gates.
+    """
+    xw, u, bv = XW.value, U.value, b.value
+    E = u.shape[0]
+    if u.shape != (E, 4 * E) or xw.shape[1] != 4 * E or bv.shape != (1, 4 * E):
+        raise ShapeError(f"lstm_seq: XW {xw.shape}, U {u.shape}, b {bv.shape} "
+                         "do not fit an i|f|o|g layout")
+    offs = _step_offsets("lstm_seq", counts, xw.shape[0])
+    N, T = xw.shape[0], offs.size - 1
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    acts = np.empty((N, 4 * E))  # gate activations, i|f|o|g
+    h_prev = np.zeros((N, E))  # the state each step starts from
+    c_prev = np.zeros((N, E))
+    tanh_c = np.empty((N, E))
+    H = np.empty((N, E))
+    C = np.empty((N, E))
+    last = None
+    for j in steps:
+        lo, hi = offs[j], offs[j + 1]
+        if last is not None:
+            # the carried rows are a prefix of both this step and the last
+            k = min(hi - lo, last[1] - last[0])
+            h_prev[lo : lo + k] = H[last[0] : last[0] + k]
+            c_prev[lo : lo + k] = C[last[0] : last[0] + k]
+        pre = xw[lo:hi] + h_prev[lo:hi] @ u
+        pre += bv
+        a = acts[lo:hi]
+        a[:, : 3 * E] = 0.5 * (np.tanh(0.5 * pre[:, : 3 * E]) + 1.0)
+        a[:, 3 * E :] = np.tanh(pre[:, 3 * E :])
+        C[lo:hi] = a[:, E : 2 * E] * c_prev[lo:hi] + a[:, :E] * a[:, 3 * E :]
+        tanh_c[lo:hi] = np.tanh(C[lo:hi])
+        H[lo:hi] = a[:, 2 * E : 3 * E] * tanh_c[lo:hi]
+        last = (lo, hi)
+    out, rec = _record(H, (XW, U, b))
+    if rec:
+
+        def rule():
+            dH = out.grad
+            deriv = acts * (1.0 - acts)
+            deriv[:, 3 * E :] = 1.0 - acts[:, 3 * E :] ** 2
+            dpre = np.empty((N, 4 * E))
+            # gradient of the next step's start state; none before the last step
+            dh_next = dc_next = np.zeros((0, E))
+            for j in reversed(steps):
+                lo, hi = offs[j], offs[j + 1]
+                a, tc = acts[lo:hi], tanh_c[lo:hi]
+                dh = dH[lo:hi].copy()
+                k = min(hi - lo, dh_next.shape[0])
+                dh[:k] += dh_next[:k]
+                dc = dh * a[:, 2 * E : 3 * E] * (1.0 - tc * tc)
+                dc[:k] += dc_next[:k]
+                dp = dpre[lo:hi]
+                dp[:, :E] = dc * a[:, 3 * E :]
+                dp[:, E : 2 * E] = dc * c_prev[lo:hi]
+                dp[:, 2 * E : 3 * E] = dh * tc
+                dp[:, 3 * E :] = dc * a[:, :E]
+                dp *= deriv[lo:hi]
+                dh_next = dp @ u.T
+                dc_next = dc * a[:, E : 2 * E]
+            if U.requires_grad:
+                _acc(U, h_prev.T @ dpre)
+            if b.requires_grad:
+                _acc(b, dpre.sum(axis=0, keepdims=True))
+            _acc(XW, dpre)
 
         out.backward_rule = rule
     return out

@@ -216,13 +216,19 @@ def build_vocab(train: list[Dialogue], min_count: int = 1) -> Vocabulary:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
+    items = vocab.items()
+    for tok, _ in items:
+        # the file holds one token per line
+        if "\n" in tok or "\r" in tok:
+            raise ValueError(f"vocabulary token {tok!r} contains a line break")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tok, i in vocab.items():
+        for tok, i in items:
             fh.write(f"{tok}\t{i}\n")
 
 
 def load_vocab(path) -> Vocabulary:
     mapping = {}
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -231,6 +237,10 @@ def load_vocab(path) -> Vocabulary:
             tok, sep, ids = line.rpartition("\t")
             if not sep or not tok:
                 raise ParseError(lineno, "expected token<TAB>id")
+            if tok in first_line:
+                raise ParseError(lineno, f"duplicate token {tok!r} "
+                                         f"(first on line {first_line[tok]})")
+            first_line[tok] = lineno
             try:
                 mapping[tok] = int(ids)
             except ValueError as exc:

@@ -4,12 +4,15 @@ attention pooling, producing one vector of width 2E per utterance.
 The batched forward flattens a (B dialogues x L utterances) grid into
 R = L*B rows, position-major (row = t*B + b), so downstream recurrences
 over utterance positions can slice contiguous row blocks. Token padding
-is always trailing, and both LSTM directions zero h and c on pad steps:
-the forward direction reaches them only after every real step, and the
-backward direction starts from them, so it enters each utterance's last
-real token from the zero state. Attention excludes pad steps, so an
-all-pad row pools to the zero vector and is flagged for downstream
-exclusion.
+must be trailing, and pad tokens are never encoded. The rows with real
+tokens are sorted by length, longest first (a stable sort, so ties keep
+grid order), and their tokens packed step-major: step j holds the rows
+still running at j, a prefix of the sorted rows. Each LSTM direction is
+one ``ad.lstm_seq`` node over that packing; the backward direction
+enters each utterance at its last real token from the zero state.
+Attention pools each sorted row over its real tokens, and the pooled
+rows go back to their grid rows. An all-pad row comes out exactly zero
+and is flagged for downstream exclusion.
 """
 
 from __future__ import annotations
@@ -36,32 +39,6 @@ def param_specs(vocab_size: int, D: int, E: int) -> list[tuple[str, tuple[int, i
     ]
 
 
-def _lstm_cell(xw, h, c, U, b, E):
-    pre = ad.add_bias(ad.add(xw, ad.matmul(h, U)), b)
-    i = ad.sigmoid(ad.slice_cols(pre, 0, E))
-    f = ad.sigmoid(ad.slice_cols(pre, E, 2 * E))
-    o = ad.sigmoid(ad.slice_cols(pre, 2 * E, 3 * E))
-    g = ad.tanh(ad.slice_cols(pre, 3 * E, 4 * E))
-    c_new = ad.add(ad.hadamard(f, c), ad.hadamard(i, g))
-    h_new = ad.hadamard(o, ad.tanh(c_new))
-    return h_new, c_new
-
-
-def _lstm_run(XW, U, b, mask, E, steps):
-    """One LSTM direction over the token steps in the given order; h and
-    c are zeroed on pad steps. Returns the hidden state of each step."""
-    R, T = mask.shape
-    h = c = ad.constant(np.zeros((R, E)))
-    out = [None] * T
-    for j in steps:
-        xw = ad.slice_rows(XW, j * R, (j + 1) * R)
-        h, c = _lstm_cell(xw, h, c, U, b, E)
-        m_col = ad.constant(mask[:, j : j + 1].astype(np.float64))
-        h, c = ad.scale_columns(h, m_col), ad.scale_columns(c, m_col)
-        out[j] = h
-    return out
-
-
 def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
                 dropout_rate: float = 0.0, rng=None) -> ad.Node:
     """Encode every utterance of a (B, L, T) id grid.
@@ -73,27 +50,22 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
     R = L * B
     grid = ids.transpose(1, 0, 2).reshape(R, T)
     mask = tok_valid.transpose(1, 0, 2).reshape(R, T)
+    lengths = mask.sum(axis=1)
+    if not np.array_equal(mask, np.arange(T) < lengths[:, None]):
+        raise ad.ContractError("encode_grid: token padding must be trailing")
 
-    # one gather + one matmul per direction covers every token position;
-    # rows of the gathered block are ordered (token step, utterance row)
-    flat_ids = grid.T.reshape(-1)
-    X = ad.gather_rows(P["enc.emb"], flat_ids)
-    fwd = _lstm_run(ad.matmul(X, P["enc.lstm_f.W"]), P["enc.lstm_f.U"],
-                    P["enc.lstm_f.b"], mask, E, range(T))
-    bwd = _lstm_run(ad.matmul(X, P["enc.lstm_b.W"]), P["enc.lstm_b.U"],
-                    P["enc.lstm_b.b"], mask, E, range(T - 1, -1, -1))
-
-    states = [ad.hstack([fwd[j], bwd[j]]) for j in range(T)]
-    scores = ad.hstack([
-        ad.tanh(ad.add_bias(ad.matmul(states[j], P["enc.att.w"]), P["enc.att.b"]))
-        for j in range(T)
-    ])
-    betas = ad.masked_softmax(scores, mask)
-
-    v = None
-    for j in range(T):
-        term = ad.scale_columns(states[j], ad.slice_cols(betas, j, j + 1))
-        v = term if v is None else ad.add(v, term)
+    # real rows, longest first; the stable sort keeps grid order among ties
+    real = np.flatnonzero(lengths)
+    order = real[np.argsort(-lengths[real], kind="stable")]
+    if order.size == 0:
+        v = ad.constant(np.zeros((R, 2 * E)))
+    else:
+        v = _encode_sorted(P, grid[order], mask[order], E)
+        # back to grid rows; pad rows read row 0 and are zeroed by the mask
+        back = np.zeros(R, dtype=np.intp)
+        back[order] = np.arange(order.size)
+        keep = (lengths > 0).astype(np.float64).reshape(R, 1)
+        v = ad.scale_columns(ad.gather_rows(v, back), ad.constant(keep))
 
     if dropout_rate > 0.0:
         if rng is None:
@@ -101,3 +73,27 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
         v = ad.dropout(v, dropout_rate, rng)
     return v
 
+
+def _encode_sorted(P: dict, grid: np.ndarray, mask: np.ndarray, E: int) -> ad.Node:
+    """Encode (R', T) id rows sorted longest first, with no all-pad row,
+    to (R', 2E). Tokens are packed step-major: step j holds the rows
+    still running at j, which are a prefix of the rows."""
+    Rs, T = grid.shape
+    steps, rows = np.nonzero(mask.T)
+    counts = np.bincount(steps)
+    X = ad.gather_rows(P["enc.emb"], grid[rows, steps])
+    fwd = ad.lstm_seq(ad.matmul(X, P["enc.lstm_f.W"]), P["enc.lstm_f.U"],
+                      P["enc.lstm_f.b"], counts)
+    bwd = ad.lstm_seq(ad.matmul(X, P["enc.lstm_b.W"]), P["enc.lstm_b.U"],
+                      P["enc.lstm_b.b"], counts, reverse=True)
+    states = ad.hstack([fwd, bwd])
+    scores = ad.tanh(ad.add_bias(ad.matmul(states, P["enc.att.w"]), P["enc.att.b"]))
+
+    # attention weights over the (R', T) grid; pad cells read packed row
+    # 0 and are excluded by the mask
+    cell = np.zeros((Rs, T), dtype=np.intp)
+    cell[rows, steps] = np.arange(rows.size)
+    betas = ad.masked_softmax(
+        ad.reshape(ad.gather_rows(scores, cell.reshape(-1)), Rs, T), mask)
+    beta = ad.gather_rows(ad.reshape(betas, Rs * T, 1), rows * T + steps)
+    return ad.packed_sum(ad.scale_columns(states, beta), counts)

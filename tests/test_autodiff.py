@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stman.autodiff as ad
-from oracles import GRAD_TOL, numeric_grad, rel_err, softmax_rows_mp
+from oracles import GRAD_TOL, lstm_cell_ref, numeric_grad, rel_err, softmax_rows_mp
 
 
 def matmul_triple_loop(a, b):
@@ -283,6 +283,80 @@ def test_untracked_ops_outside_tape_have_no_rule():
     assert out.backward_rule is None and not out.requires_grad
 
 
+# ------------------------------------------------------- packed sequences
+
+# sequences of lengths 5, 3, 3, 1, sorted longest first: step j holds the
+# rows still running, a prefix of the four
+RAGGED = [5, 3, 3, 1]
+RAGGED_COUNTS = [4, 3, 3, 1, 1]
+
+
+def packed_rows(lengths):
+    """(step, row) of each packed position, step-major."""
+    return [(j, r) for j in range(max(lengths))
+            for r, n in enumerate(lengths) if j < n]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_lstm_seq_matches_per_sequence_cells(reverse):
+    """Each sequence run alone from the zero state through the scalar
+    cell; backward runs its steps last to first."""
+    E, rng = 3, np.random.default_rng(12)
+    x = rng.normal(size=(len(packed_rows(RAGGED)), 2))
+    W, U, b = rng.normal(size=(2, 4 * E)), rng.normal(size=(E, 4 * E)), rng.normal(size=(1, 4 * E))
+    H = ad.lstm_seq(ad.constant(x @ W), ad.constant(U), ad.constant(b),
+                    RAGGED_COUNTS, reverse=reverse).value
+    where = {jr: k for k, jr in enumerate(packed_rows(RAGGED))}
+    for r, n in enumerate(RAGGED):
+        h = c = np.zeros((1, E))
+        for j in (range(n - 1, -1, -1) if reverse else range(n)):
+            k = where[j, r]
+            h, c = lstm_cell_ref(x[k : k + 1], h, c, W, U, b, E)
+            assert np.max(np.abs(H[k] - h[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_lstm_seq_gradients_on_ragged_lengths(reverse):
+    E, rng = 3, np.random.default_rng(13)
+    N = sum(RAGGED)
+    xw = rng.normal(size=(N, 4 * E))
+    U, b = rng.normal(scale=0.5, size=(E, 4 * E)), rng.normal(size=(1, 4 * E))
+    w = rng.normal(size=(N, E))
+    fd_check(lambda ls: ad.sum_all(ad.hadamard(
+        ad.lstm_seq(ls[0], ls[1], ls[2], RAGGED_COUNTS, reverse=reverse),
+        ad.constant(w))), [xw, U, b])
+
+
+def test_lstm_seq_records_one_node_per_call():
+    E, rng = 3, np.random.default_rng(14)
+    xw = ad.leaf(rng.normal(size=(sum(RAGGED), 4 * E)))
+    U, b = ad.leaf(rng.normal(size=(E, 4 * E))), ad.leaf(rng.normal(size=(1, 4 * E)))
+    with ad.Tape() as tape:
+        for reverse in (False, True):
+            before = len(tape.nodes)
+            ad.lstm_seq(xw, U, b, RAGGED_COUNTS, reverse=reverse)
+            assert len(tape.nodes) == before + 1
+
+
+@pytest.mark.parametrize("counts", [[2, 3], [2, 0], [], [4, 3, 3, 1]],
+                         ids=["increasing", "zero", "empty", "wrong-total"])
+def test_packed_ops_reject_bad_step_counts(counts):
+    x = ad.constant(np.ones((sum(RAGGED), 12)))
+    with pytest.raises((ad.ContractError, ad.ShapeError)):
+        ad.lstm_seq(x, ad.constant(np.ones((3, 12))), ad.constant(np.ones((1, 12))), counts)
+    with pytest.raises((ad.ContractError, ad.ShapeError)):
+        ad.packed_sum(x, counts)
+
+
+def test_packed_sum_adds_each_rows_steps():
+    x = np.arange(sum(RAGGED), dtype=float).reshape(-1, 1)
+    got = ad.packed_sum(ad.constant(x), RAGGED_COUNTS).value[:, 0]
+    want = np.zeros(len(RAGGED))
+    for k, (_, r) in enumerate(packed_rows(RAGGED)):
+        want[r] += x[k, 0]
+    assert np.array_equal(got, want)
+
+
 # ------------------------------------------------- finite-difference sweep
 
 
@@ -350,3 +424,12 @@ def test_every_op_against_finite_differences():
         w_c = rng.normal(size=(m, c1 - c0))
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.slice_cols(ls[0], c0, c1),
                                                    ad.constant(w_c))), [a])
+
+        w_t = rng.normal(size=(n, m))
+        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.reshape(ls[0], n, m),
+                                                   ad.constant(w_t))), [a])
+        counts = -np.sort(-rng.integers(1, 4, size=m))  # m steps, non-increasing
+        seqs = rng.normal(size=(int(counts.sum()), n))
+        w_p = rng.normal(size=(counts[0], n))
+        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.packed_sum(ls[0], counts),
+                                                   ad.constant(w_p))), [seqs])

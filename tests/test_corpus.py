@@ -200,6 +200,24 @@ def test_vocab_save_load_roundtrip(tmp_path):
     assert cp.load_vocab(path).items() == vocab.items()
 
 
+@pytest.mark.parametrize("token", ["a\nb", "\r", "x\r\ny"])
+def test_save_vocab_rejects_token_with_line_break(tmp_path, token):
+    path = tmp_path / "vocab.tsv"
+    with pytest.raises(ValueError, match="contains a line break") as exc:
+        cp.save_vocab(cp.Vocabulary({token: 2, "c": 3}), path)
+    assert repr(token) in str(exc.value)
+    assert not path.exists()
+
+
+def test_load_vocab_rejects_repeated_token_naming_both_lines(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("a\t2\nb\t3\na\t4\n", encoding="utf-8")
+    with pytest.raises(cp.ParseError, match=r"line 3: duplicate token 'a' "
+                                            r"\(first on line 1\)") as exc:
+        cp.load_vocab(path)
+    assert exc.value.line == 3
+
+
 # --------------------------------------------------------------- generator
 
 

@@ -3,6 +3,8 @@ independence, masking, and gradients."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stman.autodiff as ad
 import stman.encoder as enc
@@ -102,6 +104,62 @@ def test_permuting_dialogues_permutes_outputs():
     for t in range(2):
         assert np.array_equal(Va[t * 2 + 0], Vb[t * 2 + 1])
         assert np.array_equal(Va[t * 2 + 1], Vb[t * 2 + 0])
+
+
+VOCAB = 10
+
+
+@st.composite
+def ragged_grids(draw):
+    """A (B, L, T) grid with trailing token padding, any utterance row
+    possibly all pad, random ids in pad cells, and a permutation of the
+    grid's (b, t) cells."""
+    B, L, T = (draw(st.integers(1, hi)) for hi in (3, 3, 4))
+    lengths = np.array(draw(st.lists(st.integers(0, T), min_size=B * L,
+                                     max_size=B * L))).reshape(B, L)
+    ids = np.array(draw(st.lists(st.integers(0, VOCAB - 1), min_size=B * L * T,
+                                 max_size=B * L * T)), dtype=np.intp).reshape(B, L, T)
+    perm = np.array(draw(st.permutations(range(B * L))))
+    return ids, np.arange(T) < lengths[..., None], perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_grids())
+def test_packed_grid_matches_oracle_on_ragged_grids(case):
+    """Every real row equals the one-utterance oracle, every pad row is
+    exactly zero, and presenting the same utterances in another order
+    (so other ties in the length sort) permutes the rows."""
+    ids, mask, perm = case
+    B, L, T = ids.shape
+    params = make_params(VOCAB, 5, 4, seed=15)
+    V = enc.encode_grid(as_leaves(params), ids, mask, E=4).value
+    for b in range(B):
+        for t in range(L):
+            n = int(mask[b, t].sum())
+            if n:
+                want = encoder_ref(list(ids[b, t, :n]), params, E=4)[0]
+                assert np.max(np.abs(V[t * B + b] - want)) <= 1e-10
+            else:
+                assert np.all(V[t * B + b] == 0.0)
+
+    # cell c = b * L + t of the permuted grid holds cell perm[c]
+    shuffled = [a.reshape(B * L, T)[perm].reshape(B, L, T) for a in (ids, mask)]
+    Vp = enc.encode_grid(as_leaves(params), *shuffled, E=4).value
+    real = mask.reshape(B * L, T).any(axis=1)
+    for c, src in enumerate(perm):
+        got, want = Vp[(c % L) * B + c // L], V[(src % L) * B + src // L]
+        if real[src]:
+            assert np.max(np.abs(got - want)) <= 1e-10
+        else:
+            assert np.all(got == 0.0)
+
+
+def test_inner_padding_rejected():
+    params = make_params(6, 4, 3, seed=16)
+    ids, mask = grid_of([[[2, 3, 4]]], T=3)
+    mask[0, 0, 1] = False
+    with pytest.raises(ad.ContractError, match="trailing"):
+        enc.encode_grid(as_leaves(params), ids, mask, E=3)
 
 
 def test_single_utterance_dialogue_has_one_row():
