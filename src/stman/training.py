@@ -17,6 +17,7 @@ identical configs replay bit-identically.
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -406,21 +407,32 @@ def train(split: cp.CorpusSplit, cfg: ModelConfig) -> TrainResult:
     result = TrainResult(params=params, config=cfg, vocab=vocab)
     best_f1 = -1.0
     best_params = None
-    for epoch in range(cfg.epochs):
-        summary = train_epoch(params, velocities, split.train, adv_ids, vocab,
-                              cfg, epoch, shuffle_rng, drop_rng)
-        if split.dev:
-            dev = evaluate(params, split.dev, vocab, cfg)
-            summary["dev_use_acc"] = dev["use"]["accuracy"]
-            summary["dev_use_macro_f1"] = dev["use"]["macro_f1"]
-            if cfg.use_aux:
-                summary["dev_sa_acc"] = dev["sa"]["accuracy"]
-                summary["dev_sa_macro_f1"] = dev["sa"]["macro_f1"]
-            if dev["use"]["macro_f1"] > best_f1:
-                best_f1 = dev["use"]["macro_f1"]
-                best_params = copy.deepcopy(params)
-                result.best_epoch = epoch
-        result.history.append(summary)
+    # A finished tape is freed by reference counting alone, so the cyclic
+    # collector's automatic passes, triggered by the tape's allocations,
+    # find nothing; they are paused for the run and one full collection
+    # at each epoch's end bounds any cyclic garbage instead.
+    collector_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        for epoch in range(cfg.epochs):
+            summary = train_epoch(params, velocities, split.train, adv_ids, vocab,
+                                  cfg, epoch, shuffle_rng, drop_rng)
+            if split.dev:
+                dev = evaluate(params, split.dev, vocab, cfg)
+                summary["dev_use_acc"] = dev["use"]["accuracy"]
+                summary["dev_use_macro_f1"] = dev["use"]["macro_f1"]
+                if cfg.use_aux:
+                    summary["dev_sa_acc"] = dev["sa"]["accuracy"]
+                    summary["dev_sa_macro_f1"] = dev["sa"]["macro_f1"]
+                if dev["use"]["macro_f1"] > best_f1:
+                    best_f1 = dev["use"]["macro_f1"]
+                    best_params = copy.deepcopy(params)
+                    result.best_epoch = epoch
+            result.history.append(summary)
+            gc.collect()
+    finally:
+        if collector_was_on:
+            gc.enable()
     if best_params is not None:
         result.params = best_params
     return result

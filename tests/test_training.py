@@ -1,6 +1,7 @@
 """Training machinery: loss fixtures, optimizer trajectory, phase
 isolation, determinism, checkpoints, and batching arithmetic."""
 
+import gc
 import json
 import math
 
@@ -416,6 +417,49 @@ def test_best_epoch_matches_history_and_restored_params():
     assert result.best_epoch == int(np.argmax(f1s))
     again = tr.evaluate(result.params, split.dev, result.vocab, cfg)
     assert again["use"]["macro_f1"] == pytest.approx(f1s[result.best_epoch])
+
+
+def test_training_pauses_the_cyclic_collector_and_restores_it(monkeypatch):
+    split = cp.split_corpus(cp.generate_synthetic(24, correlation_q=0.9, seed=5), seed=5)
+    cfg = small_config(use_td=False, epochs=2)
+    enabled_in_epoch = []
+    collections = []
+    real_epoch = tr.train_epoch
+
+    def spy(*args, **kwargs):
+        enabled_in_epoch.append(gc.isenabled())
+        return real_epoch(*args, **kwargs)
+
+    def on_gc(phase, info):
+        if phase == "stop":
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(tr, "train_epoch", spy)
+    assert gc.isenabled()
+    gc.callbacks.append(on_gc)
+    try:
+        tr.train(split, cfg)
+    finally:
+        gc.callbacks.remove(on_gc)
+    # no automatic pass during the run, one full collection per epoch
+    assert enabled_in_epoch == [False, False]
+    assert collections == [2, 2]
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        tr.train(split, cfg)
+        assert not gc.isenabled()  # a caller's paused collector stays paused
+    finally:
+        gc.enable()
+
+    def failing_epoch(*args, **kwargs):
+        raise RuntimeError("epoch failed")
+
+    monkeypatch.setattr(tr, "train_epoch", failing_epoch)
+    with pytest.raises(RuntimeError, match="epoch failed"):
+        tr.train(split, cfg)
+    assert gc.isenabled()
 
 
 def test_empty_training_split_rejected():
