@@ -44,6 +44,7 @@ __all__ = [
     "reshape",
     "packed_sum",
     "lstm_seq",
+    "gru_seq",
     "dropout",
     "LOG_EPS",
 ]
@@ -418,12 +419,27 @@ def gather_rows(table: Node, ids) -> Node:
             f"gather_rows: index out of range for table with {table.value.shape[0]} rows"
         )
     out, rec = _record(table.value[idx], (table,))
-    if rec:
+    if rec and table.value.shape[1] == 1:
+        # on one column np.add.at beats the sort below
 
         def rule():
             if table.grad is None:
                 table.grad = np.zeros_like(table.value)
             np.add.at(table.grad, idx, out.grad)
+
+        out.backward_rule = rule
+    elif rec:
+        # segment sum: the gradient rows of each index, grouped by a
+        # stable sort, reduce to one row per distinct index
+        order = np.argsort(idx, kind="stable")
+        sorted_idx = idx[order]
+        starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+        rows = sorted_idx[starts]
+
+        def rule():
+            if table.grad is None:
+                table.grad = np.zeros_like(table.value)
+            table.grad[rows] += np.add.reduceat(out.grad[order], starts, axis=0)
 
         out.backward_rule = rule
     return out
@@ -583,6 +599,78 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
                 dc_next = dc * a[:, E : 2 * E]
             if U.requires_grad:
                 _acc(U, h_prev.T @ dpre)
+            if b.requires_grad:
+                _acc(b, dpre.sum(axis=0, keepdims=True))
+            _acc(XW, dpre)
+
+        out.backward_rule = rule
+    return out
+
+
+def gru_seq(XW: Node, U: Node, b: Node, counts) -> Node:
+    """One GRU over a packed batch of sequences, as one node.
+
+    ``XW`` (N, 3K) holds the input projections of every step in the
+    layout of ``packed_sum``; ``U`` is (K, 3K) and ``b`` (1, 3K), gate
+    layout r|z|h. Each step computes r and z from ``XW + h_prev U + b``,
+    the candidate from ``XW_h + (h_prev * r) U_h + b_h``, and
+    ``h = (1 - z) * h_prev + z * candidate``, from the zero state; a
+    sequence's state is dropped once it has ended. Returns the (N, K)
+    hidden states, row-aligned with ``XW``. Backward is hand-derived BPTT
+    over the stored gates and ``h_prev * r``.
+    """
+    xw, u, bv = XW.value, U.value, b.value
+    K = u.shape[0]
+    if u.shape != (K, 3 * K) or xw.shape[1] != 3 * K or bv.shape != (1, 3 * K):
+        raise ShapeError(f"gru_seq: XW {xw.shape}, U {u.shape}, b {bv.shape} "
+                         "do not fit an r|z|h layout")
+    offs = _step_offsets("gru_seq", counts, xw.shape[0])
+    N, T = xw.shape[0], offs.size - 1
+    u_rz, u_h = u[:, : 2 * K], u[:, 2 * K :]
+    acts = np.empty((N, 3 * K))  # gate activations, r|z|h
+    h_prev = np.zeros((N, K))  # the state each step starts from
+    hr = np.empty((N, K))  # h_prev * r, the candidate's recurrent input
+    H = np.empty((N, K))
+    for j in range(T):
+        lo, hi = offs[j], offs[j + 1]
+        if j:
+            # every row of this step ran in the last one, as its prefix
+            h_prev[lo:hi] = H[offs[j - 1] : offs[j - 1] + hi - lo]
+        hp, a = h_prev[lo:hi], acts[lo:hi]
+        pre = xw[lo:hi, : 2 * K] + hp @ u_rz
+        pre += bv[:, : 2 * K]
+        a[:, : 2 * K] = 0.5 * (np.tanh(0.5 * pre) + 1.0)
+        np.multiply(hp, a[:, :K], out=hr[lo:hi])
+        pre = xw[lo:hi, 2 * K :] + hr[lo:hi] @ u_h
+        pre += bv[:, 2 * K :]
+        np.tanh(pre, out=a[:, 2 * K :])
+        z = a[:, K : 2 * K]
+        H[lo:hi] = hp - z * hp + z * a[:, 2 * K :]
+    out, rec = _record(H, (XW, U, b))
+    if rec:
+
+        def rule():
+            dH = out.grad
+            dpre = np.empty((N, 3 * K))
+            # gradient of the next step's start state; none after the last step
+            dh_next = np.zeros((0, K))
+            for j in range(T - 1, -1, -1):
+                lo, hi = offs[j], offs[j + 1]
+                a, hp = acts[lo:hi], h_prev[lo:hi]
+                r, z, c = a[:, :K], a[:, K : 2 * K], a[:, 2 * K :]
+                dh = dH[lo:hi].copy()
+                dh[: dh_next.shape[0]] += dh_next
+                dp = dpre[lo:hi]
+                dp[:, 2 * K :] = dh * z * (1.0 - c * c)
+                dhr = dp[:, 2 * K :] @ u_h.T
+                dp[:, :K] = dhr * hp * r * (1.0 - r)
+                dp[:, K : 2 * K] = dh * (c - hp) * z * (1.0 - z)
+                dh_next = dh - dh * z + dhr * r + dp[:, : 2 * K] @ u_rz.T
+            if U.requires_grad:
+                dU = np.empty((K, 3 * K))
+                np.matmul(h_prev.T, dpre[:, : 2 * K], out=dU[:, : 2 * K])
+                np.matmul(hr.T, dpre[:, 2 * K :], out=dU[:, 2 * K :])
+                _acc(U, dU)
             if b.requires_grad:
                 _acc(b, dpre.sum(axis=0, keepdims=True))
             _acc(XW, dpre)

@@ -81,10 +81,8 @@ def sa_decode(P: dict, H_a: list) -> list:
 def discriminate_steps(P: dict, X: ad.Node, B: int, L: int, K: int) -> list:
     """GRU over one task-feature stream (position-major X), per-step
     softmax over the two task classes. Returns L nodes of shape (B, 2)."""
-    h = ad.constant(np.zeros((B, K)))
-    probs = []
-    for t in range(L):
-        h = interaction.gru_step(P, "td", ad.slice_rows(X, t * B, (t + 1) * B), h)
-        probs.append(ad.softmax_rows(ad.add_bias(ad.matmul(h, P["td.W_o"]),
-                                                 P["td.b_o"])))
-    return probs
+    H = ad.gru_seq(ad.matmul(X, interaction.gates(P, "td", "W")),
+                   interaction.gates(P, "td", "U"),
+                   interaction.gates(P, "td", "b"), [B] * L)
+    probs = ad.softmax_rows(ad.add_bias(ad.matmul(H, P["td.W_o"]), P["td.b_o"]))
+    return [ad.slice_rows(probs, t * B, (t + 1) * B) for t in range(L)]

@@ -7,6 +7,14 @@ matching the encoder output, so step t of every dialogue in the batch is
 one contiguous row block. Recurrences run over trailing padding (pad
 steps compute garbage states) but masks exclude those rows from every
 downstream loss, and causality keeps real steps clean.
+
+Each GRU of a stream is one ``ad.gru_seq`` node over all L steps (dense
+step counts ``[B] * L``), with its input projections for every step made
+in one matmul beforehand: ``X W`` for the shared GRU, ``X_aug W + H_s U^s``
+for a private one, whose bias is a zero constant. The r|z|h gate blocks
+are concatenated at run time from the separately named parameters, so
+the checkpoint format is the one of a per-gate model. The consumers get
+per-step (B, K) states as row slices of the fused output.
 """
 
 from __future__ import annotations
@@ -18,8 +26,7 @@ from . import autodiff as ad
 __all__ = [
     "param_specs",
     "project",
-    "gru_step",
-    "gru_task_step",
+    "gates",
     "run_interaction",
 ]
 
@@ -55,52 +62,30 @@ def project(P: dict, V: ad.Node, task: str) -> ad.Node:
                                P[f"proj.{task}.b"]))
 
 
-def gru_step(P: dict, prefix: str, x: ad.Node, h_prev: ad.Node) -> ad.Node:
-    """Standard GRU update h = (1-z) * h_prev + z * candidate, with the
-    parameters ``{prefix}.W_g``, ``.U_g`` and ``.b_g`` for g in r|z|h.
-    The shared GRU ("gru_s") and the turn discriminator ("td") use it."""
-    def gate(g, h_in):
-        return ad.add_bias(ad.add(ad.matmul(x, P[f"{prefix}.W_{g}"]),
-                                  ad.matmul(h_in, P[f"{prefix}.U_{g}"])),
-                           P[f"{prefix}.b_{g}"])
-
-    r = ad.sigmoid(gate("r", h_prev))
-    z = ad.sigmoid(gate("z", h_prev))
-    hh = ad.tanh(gate("h", ad.hadamard(h_prev, r)))
-    return ad.add(ad.sub(h_prev, ad.hadamard(z, h_prev)), ad.hadamard(z, hh))
+def gates(P: dict, prefix: str, part: str) -> ad.Node:
+    """The r|z|h blocks ``{prefix}.{part}_g`` side by side, as
+    ``ad.gru_seq`` takes them; the parameters stay separate, so the
+    checkpoint keeps one entry per gate."""
+    return ad.hstack([P[f"{prefix}.{part}_{g}"] for g in _GATES])
 
 
-def gru_task_step(P: dict, task: str, x_aug: ad.Node, h_prev: ad.Node,
-                  h_s: ad.Node) -> ad.Node:
-    """Task-private GRU variant: every gate also reads the same-step
-    shared state through its own U^s matrix; no bias terms."""
-    pre = f"gru_{task}"
-
-    def gate(g, h_in):
-        return ad.add(ad.add(ad.matmul(x_aug, P[f"{pre}.W_{g}"]),
-                             ad.matmul(h_in, P[f"{pre}.U_{g}"])),
-                      ad.matmul(h_s, P[f"{pre}.Us_{g}"]))
-
-    r = ad.sigmoid(gate("r", h_prev))
-    z = ad.sigmoid(gate("z", h_prev))
-    hh = ad.tanh(gate("h", ad.hadamard(h_prev, r)))
-    return ad.add(ad.sub(h_prev, ad.hadamard(z, h_prev)), ad.hadamard(z, hh))
-
-
-def _task_stream(P: dict, task: str, X: ad.Node, turn_cols, B: int, L: int,
-                 K: int) -> list[ad.Node]:
+def _task_stream(P: dict, task: str, X: ad.Node, C, shared, B: int,
+                 L: int, K: int) -> list[ad.Node]:
     """One task's pass: shared-state sequence from this task's X using the
-    single shared parameter set, then the private variant on top."""
-    zeros = ad.constant(np.zeros((B, K)))
-    h_s, h_k = zeros, zeros
-    steps = []
-    for t in range(L):
-        x_t = ad.slice_rows(X, t * B, (t + 1) * B)
-        h_s = gru_step(P, "gru_s", x_t, h_s)
-        x_aug = x_t if turn_cols is None else ad.hstack([x_t, turn_cols[t]])
-        h_k = gru_task_step(P, task, x_aug, h_k, h_s)
-        steps.append(h_k)
-    return steps
+    single shared parameter set (``shared`` = its W, U, b gate blocks),
+    then the private variant on top, whose input projection also reads
+    the same-step shared state through U^s. Every step at once, then
+    split back into L (B, K) states."""
+    counts = [B] * L
+    W_s, U_s, b_s = shared
+    H_s = ad.gru_seq(ad.matmul(X, W_s), U_s, b_s, counts)
+    pre = f"gru_{task}"
+    X_aug = X if C is None else ad.hstack([X, C])
+    XW = ad.add(ad.matmul(X_aug, gates(P, pre, "W")),
+                ad.matmul(H_s, gates(P, pre, "Us")))
+    H_k = ad.gru_seq(XW, gates(P, pre, "U"), ad.constant(np.zeros((1, 3 * K))),
+                     counts)
+    return [ad.slice_rows(H_k, t * B, (t + 1) * B) for t in range(L)]
 
 
 def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, B: int, L: int,
@@ -113,10 +98,10 @@ def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, B: int, L: int,
     X_m = project(P, V, "m")
     X_a = project(P, V, "a") if use_aux else None
 
-    turn_cols = None
-    if use_st:
-        turn_cols = [ad.gather_rows(P["turn.emb"], turn[:, t]) for t in range(L)]
+    # turn embeddings of every step, position-major like V
+    C = ad.gather_rows(P["turn.emb"], turn.T.reshape(-1)) if use_st else None
+    shared = tuple(gates(P, "gru_s", part) for part in ("W", "U", "b"))
 
-    H_m = _task_stream(P, "m", X_m, turn_cols, B, L, K)
-    H_a = _task_stream(P, "a", X_a, turn_cols, B, L, K) if use_aux else None
+    H_m = _task_stream(P, "m", X_m, C, shared, B, L, K)
+    H_a = _task_stream(P, "a", X_a, C, shared, B, L, K) if use_aux else None
     return H_m, H_a

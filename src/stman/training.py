@@ -336,14 +336,21 @@ class TrainResult:
     best_epoch: int = -1
 
 
-def _grads_of(params: dict, build):
+def _grads_of(params: dict, build, names=None):
     """One forward/backward pass; returns (name -> gradient, loss value).
-    The gradient is None where the objective never touched the parameter."""
-    P = as_leaves(params)
+    Only ``names`` (default: every parameter) are leaves; the rest enter
+    as constants, so the tape records no node that reaches none of them
+    and no gradient of theirs is computed. The gradient is None where
+    the objective never touched the parameter."""
+    if names is None:
+        names = list(params)
+    P = as_leaves({name: params[name] for name in names})
+    P.update((name, ad.constant(arr)) for name, arr in params.items()
+             if name not in P)
     with ad.Tape() as tape:
         loss = build(P)
         tape.backward(loss)
-    return {name: P[name].grad for name in params}, float(loss.value[0, 0])
+    return {name: P[name].grad for name in names}, float(loss.value[0, 0])
 
 
 def train_epoch(params: dict, velocities: dict, train_dialogues: list,
@@ -358,18 +365,21 @@ def train_epoch(params: dict, velocities: dict, train_dialogues: list,
     adv_value = None
     if cfg.use_td and cfg.adv_fraction > 0.0:
         adv_dialogues = [d for d in ordered if d.id in adv_ids]
+        # with every dialogue sampled, Phase 1 walks Phase 2's batches
+        adv_batches = (batches if len(adv_dialogues) == len(ordered)
+                       else cp.batchify(adv_dialogues, vocab, cfg.batch))
+        descend = group_names(params, "enc")
+        ascend = group_names(params, "td") + group_names(params, "theta_k")
         total = 0.0
         seen = 0
-        for batch in cp.batchify(adv_dialogues, vocab, cfg.batch):
+        for batch in adv_batches:
             grads, _ = _grads_of(params, lambda P: forward_adv(
-                P, batch, cfg, train_mode=True, drop_rng=drop_rng))
-            momentum_step(params, velocities, grads, lr, cfg.momentum_mu,
-                          group_names(params, "enc"))
+                P, batch, cfg, train_mode=True, drop_rng=drop_rng), descend)
+            momentum_step(params, velocities, grads, lr, cfg.momentum_mu, descend)
             grads, value = _grads_of(params, lambda P: forward_adv(
-                P, batch, cfg, train_mode=True, drop_rng=drop_rng))
+                P, batch, cfg, train_mode=True, drop_rng=drop_rng), ascend)
             ascent = {n: None if g is None else -g for n, g in grads.items()}
-            momentum_step(params, velocities, ascent, lr, cfg.momentum_mu,
-                          group_names(params, "td") + group_names(params, "theta_k"))
+            momentum_step(params, velocities, ascent, lr, cfg.momentum_mu, ascend)
             total += value * batch.size
             seen += batch.size
         adv_value = total / seen if seen else None

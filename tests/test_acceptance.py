@@ -94,14 +94,18 @@ def test_criterion_2_exactness_fixtures():
     assert alpha.value[0, 1] == 0.0 and alpha.value[0, 3] == 0.0
     assert abs(alpha.value[0, [0, 2, 4]].sum() - 1.0) <= 1e-12
 
-    # all-zero GRU parameters halve the previous state
+    # all-zero GRU parameters halve the previous state: step 0's candidate
+    # reads a fixed input, step 1's input projection is zero (W = 0)
     zeros = {name: np.zeros(shape)
              for name, shape in it.param_specs(2, 3, 2, False, False, False)}
     zl = {k: ad.leaf(v) for k, v in zeros.items()}
-    h_prev = np.array([[0.4, -0.6, 0.2]])
-    h = it.gru_step(zl, "gru_s", ad.constant(np.array([[1.0, 2.0, 3.0]])),
-                    ad.constant(h_prev))
-    assert np.max(np.abs(h.value - 0.5 * h_prev)) <= 1e-15
+    xw = np.zeros((2, 9))
+    xw[0, 6:] = [1.0, 2.0, 3.0]
+    H = ad.gru_seq(ad.constant(xw), it.gates(zl, "gru_s", "U"),
+                   it.gates(zl, "gru_s", "b"), [1, 1]).value
+    h_prev = H[0:1]
+    assert np.all(h_prev != 0.0)
+    assert np.max(np.abs(H[1:2] - 0.5 * h_prev)) <= 1e-15
 
     # uniform satisfaction probabilities score ln 3
     p_m = ad.constant(np.full((1, 3), 1.0 / 3.0))

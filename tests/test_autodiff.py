@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stman.autodiff as ad
-from oracles import GRAD_TOL, lstm_cell_ref, numeric_grad, rel_err, softmax_rows_mp
+from oracles import (GRAD_TOL, gru_shared_ref, lstm_cell_ref, numeric_grad, rel_err,
+                     softmax_rows_mp)
 
 
 def matmul_triple_loop(a, b):
@@ -278,6 +279,22 @@ def test_dropout_contracts():
         ad.dropout(x, 1.0, rng)
 
 
+@pytest.mark.parametrize("width", [1, 4], ids=["one-column", "wide"])
+def test_gather_rows_scatter_adds_repeated_indices(width):
+    """Backward sums every gathered row's gradient into its table row,
+    as np.add.at does; rows never gathered stay zero."""
+    rng = np.random.default_rng(18)
+    table = ad.leaf(rng.normal(size=(6, width)))
+    ids = np.array([4, 1, 4, 0, 4, 1, 2, 4, 0])
+    g = rng.normal(size=(ids.size, width))
+    with ad.Tape() as tape:
+        tape.backward(ad.sum_all(ad.hadamard(ad.gather_rows(table, ids), ad.constant(g))))
+    want = np.zeros((6, width))
+    np.add.at(want, ids, g)
+    assert np.max(np.abs(table.grad - want)) <= 1e-12
+    assert np.all(table.grad[[3, 5]] == 0.0)
+
+
 def test_untracked_ops_outside_tape_have_no_rule():
     out = ad.matmul(ad.leaf([[1.0]]), ad.leaf([[2.0]]))
     assert out.backward_rule is None and not out.requires_grad
@@ -338,12 +355,52 @@ def test_lstm_seq_records_one_node_per_call():
             assert len(tape.nodes) == before + 1
 
 
+def test_gru_seq_matches_per_sequence_cells():
+    """Each sequence run alone from the zero state through the scalar
+    cell, with the gate blocks side by side as the op takes them."""
+    K, rng = 3, np.random.default_rng(15)
+    P = {f"td.{part}_{g}": rng.normal(size=shape) for g in "rzh"
+         for part, shape in (("W", (2, K)), ("U", (K, K)), ("b", (1, K)))}
+    W, U, b = (np.hstack([P[f"td.{part}_{g}"] for g in "rzh"]) for part in "WUb")
+    x = rng.normal(size=(len(packed_rows(RAGGED)), 2))
+    H = ad.gru_seq(ad.constant(x @ W), ad.constant(U), ad.constant(b),
+                   RAGGED_COUNTS).value
+    where = {jr: k for k, jr in enumerate(packed_rows(RAGGED))}
+    for r, n in enumerate(RAGGED):
+        h = np.zeros((1, K))
+        for j in range(n):
+            k = where[j, r]
+            h = gru_shared_ref(x[k : k + 1], h, P, prefix="td")
+            assert np.max(np.abs(H[k] - h[0])) <= 1e-12
+
+
+def test_gru_seq_gradients_on_ragged_lengths():
+    K, rng = 3, np.random.default_rng(16)
+    N = sum(RAGGED)
+    xw = rng.normal(size=(N, 3 * K))
+    U, b = rng.normal(scale=0.5, size=(K, 3 * K)), rng.normal(size=(1, 3 * K))
+    w = rng.normal(size=(N, K))
+    fd_check(lambda ls: ad.sum_all(ad.hadamard(
+        ad.gru_seq(ls[0], ls[1], ls[2], RAGGED_COUNTS), ad.constant(w))), [xw, U, b])
+
+
+def test_gru_seq_records_one_node_per_call():
+    K, rng = 3, np.random.default_rng(17)
+    xw = ad.leaf(rng.normal(size=(sum(RAGGED), 3 * K)))
+    U, b = ad.leaf(rng.normal(size=(K, 3 * K))), ad.leaf(rng.normal(size=(1, 3 * K)))
+    with ad.Tape() as tape:
+        ad.gru_seq(xw, U, b, RAGGED_COUNTS)
+        assert len(tape.nodes) == 1
+
+
 @pytest.mark.parametrize("counts", [[2, 3], [2, 0], [], [4, 3, 3, 1]],
                          ids=["increasing", "zero", "empty", "wrong-total"])
 def test_packed_ops_reject_bad_step_counts(counts):
     x = ad.constant(np.ones((sum(RAGGED), 12)))
     with pytest.raises((ad.ContractError, ad.ShapeError)):
         ad.lstm_seq(x, ad.constant(np.ones((3, 12))), ad.constant(np.ones((1, 12))), counts)
+    with pytest.raises((ad.ContractError, ad.ShapeError)):
+        ad.gru_seq(x, ad.constant(np.ones((4, 12))), ad.constant(np.ones((1, 12))), counts)
     with pytest.raises((ad.ContractError, ad.ShapeError)):
         ad.packed_sum(x, counts)
 

@@ -59,34 +59,63 @@ def test_projection_matches_closed_form():
     assert np.all(np.abs(X.value) < 1.0)
 
 
+def shared_gru(P, X, B, L):
+    """The shared GRU over position-major X, as run_interaction runs it;
+    returns the (L*B, K) states."""
+    leaves = as_leaves(P)
+    return ad.gru_seq(ad.matmul(ad.constant(X), it.gates(leaves, "gru_s", "W")),
+                      it.gates(leaves, "gru_s", "U"),
+                      it.gates(leaves, "gru_s", "b"), [B] * L).value
+
+
+def task_gru(P, task, X_aug, H_s, B, L):
+    """A task-private GRU over position-major X_aug and shared states H_s,
+    as run_interaction runs it; returns the (L*B, K) states."""
+    leaves, K = as_leaves(P), H_s.shape[1]
+    pre = f"gru_{task}"
+    XW = X_aug @ it.gates(leaves, pre, "W").value + H_s @ it.gates(leaves, pre, "Us").value
+    return ad.gru_seq(ad.constant(XW), it.gates(leaves, pre, "U"),
+                      ad.constant(np.zeros((1, 3 * K))), [B] * L).value
+
+
 def test_shared_gru_zero_params_halve_the_state():
+    """With every parameter zero a step's input projection, gates and
+    candidate input vanish, so it halves the state; the state step 0
+    starts from is given by the scalar cell."""
     P = {name: np.zeros(shape)
          for name, shape in it.param_specs(2, 3, 2, False, False, False)}
     h_prev = np.array([[0.4, -0.6, 0.2]])
     x = np.array([[1.0, 2.0, 3.0]])
-    h = it.gru_step(as_leaves(P), "gru_s", ad.constant(x), ad.constant(h_prev))
-    assert np.max(np.abs(h.value - 0.5 * h_prev)) <= 1e-15
+    h = gru_shared_ref(x, h_prev, P)
+    assert np.max(np.abs(h - 0.5 * h_prev)) <= 1e-15
+    # the fused op: step 0 from a fixed candidate input, then a zero step
+    xw = np.zeros((2, 9))
+    xw[0, 6:] = x
+    leaves = as_leaves(P)
+    H = ad.gru_seq(ad.constant(xw), it.gates(leaves, "gru_s", "U"),
+                   it.gates(leaves, "gru_s", "b"), [1, 1]).value
+    assert np.all(H[0] != 0.0)
+    assert np.max(np.abs(H[1] - 0.5 * H[0])) <= 1e-15
 
 
 def test_shared_gru_matches_scalar_reference():
     P = make_params(2, 3, 2, seed=3)
-    rng = np.random.default_rng(4)
-    x, h_prev = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)) * 0.5
-    h = it.gru_step(as_leaves(P), "gru_s", ad.constant(x), ad.constant(h_prev))
-    want = gru_shared_ref(x, h_prev, P)
-    assert np.max(np.abs(h.value - want)) <= 1e-12
+    B, L = 2, 4
+    X = np.random.default_rng(4).normal(size=(L * B, 3))
+    H = shared_gru(P, X, B, L)
+    h = np.zeros((B, 3))
+    for t in range(L):
+        h = gru_shared_ref(X[t * B : (t + 1) * B], h, P)
+        assert np.max(np.abs(H[t * B : (t + 1) * B] - h)) <= 1e-12
 
 
 def test_gru_state_stays_in_open_unit_box():
     """From h0 = 0 every state is a convex mix of the previous state and a
     tanh candidate, so it can never leave (-1, 1)."""
     P = make_params(2, 4, 2, seed=5, scale=2.0)
-    rng = np.random.default_rng(6)
-    h = ad.constant(np.zeros((3, 4)))
-    for _ in range(20):
-        x = ad.constant(rng.normal(size=(3, 4)) * 3.0)
-        h = it.gru_step(as_leaves(P), "gru_s", x, h)
-        assert np.all(np.abs(h.value) < 1.0)
+    X = np.random.default_rng(6).normal(size=(20 * 3, 4)) * 3.0
+    H = shared_gru(P, X, 3, 20)
+    assert np.all(np.abs(H) < 1.0)
 
 
 def test_task_gru_zero_params_halve_the_state():
@@ -95,20 +124,25 @@ def test_task_gru_zero_params_halve_the_state():
     h_prev = np.array([[0.4, -0.6, 0.2]])
     x = np.zeros((1, 3))
     hs = np.ones((1, 3))
-    h = it.gru_task_step(as_leaves(P), "m", ad.constant(x),
-                         ad.constant(h_prev), ad.constant(hs))
-    assert np.max(np.abs(h.value - 0.5 * h_prev)) <= 1e-15
+    h = gru_task_ref(x, h_prev, hs, P, "gru_m")
+    assert np.max(np.abs(h - 0.5 * h_prev)) <= 1e-15
+    # the fused op in the private configuration: zero bias, and the
+    # shared state adds nothing through zero U^s
+    H = task_gru(P, "m", np.zeros((2, 3)), np.ones((2, 3)), 1, 2)
+    assert np.array_equal(H, np.zeros((2, 3)))
 
 
 def test_task_gru_matches_scalar_reference():
     P = make_params(2, 3, 2, use_st=False, seed=7)
+    B, L = 2, 3
     rng = np.random.default_rng(8)
-    x, h_prev, hs = (rng.normal(size=(2, 3)), rng.normal(size=(2, 3)) * 0.5,
-                     rng.normal(size=(2, 3)) * 0.5)
-    h = it.gru_task_step(as_leaves(P), "a", ad.constant(x),
-                         ad.constant(h_prev), ad.constant(hs))
-    want = gru_task_ref(x, h_prev, hs, P, "gru_a")
-    assert np.max(np.abs(h.value - want)) <= 1e-12
+    X, H_s = rng.normal(size=(L * B, 3)), rng.normal(size=(L * B, 3)) * 0.5
+    H = task_gru(P, "a", X, H_s, B, L)
+    h = np.zeros((B, 3))
+    for t in range(L):
+        rows = slice(t * B, (t + 1) * B)
+        h = gru_task_ref(X[rows], h, H_s[rows], P, "gru_a")
+        assert np.max(np.abs(H[rows] - h)) <= 1e-12
 
 
 def test_task_gru_with_zero_shared_weights_is_biasless_gru():
@@ -118,13 +152,15 @@ def test_task_gru_with_zero_shared_weights_is_biasless_gru():
         P[f"gru_s.W_{g}"] = P[f"gru_m.W_{g}"]
         P[f"gru_s.U_{g}"] = P[f"gru_m.U_{g}"]
         P[f"gru_s.b_{g}"] = np.zeros((1, 3))
+    B, L = 2, 3
     rng = np.random.default_rng(10)
-    x, h_prev = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)) * 0.5
-    hs = rng.normal(size=(2, 3))  # must be ignored now
-    h = it.gru_task_step(as_leaves(P), "m", ad.constant(x),
-                         ad.constant(h_prev), ad.constant(hs))
-    want = gru_shared_ref(x, h_prev, P)
-    assert np.max(np.abs(h.value - want)) <= 1e-12
+    X = rng.normal(size=(L * B, 3))
+    H_s = rng.normal(size=(L * B, 3))  # must be ignored now
+    H = task_gru(P, "m", X, H_s, B, L)
+    h = np.zeros((B, 3))
+    for t in range(L):
+        h = gru_shared_ref(X[t * B : (t + 1) * B], h, P)
+        assert np.max(np.abs(H[t * B : (t + 1) * B] - h)) <= 1e-12
 
 
 def run_toy(P, V_val, turn, B, L, K, **kw):

@@ -366,6 +366,93 @@ def test_minimization_step_leaves_discriminator_untouched():
     assert tr.fingerprint(params, ("enc.",)) != enc_before
 
 
+def test_scoped_gradients_equal_full_leaf_gradients():
+    """Making only the updated names leaves changes no gradient of
+    theirs, bit for bit, in either Phase 1 step."""
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config()
+    params = tr.init_params(cfg, len(vocab))
+    (batch,) = cp.batchify(dialogues, vocab, 2)
+
+    def build(P):
+        return tr.forward_adv(P, batch, cfg)
+
+    full, full_value = tr._grads_of(params, build)
+    for names in (tr.group_names(params, "enc"),
+                  tr.group_names(params, "td") + tr.group_names(params, "theta_k")):
+        scoped, value = tr._grads_of(params, build, names)
+        assert value == full_value
+        assert sorted(scoped) == sorted(names)
+        for name in names:
+            assert np.array_equal(scoped[name], full[name]), name
+
+
+def test_phase1_ascent_records_no_encoder_node(monkeypatch):
+    """The ascent step updates the discriminator and the projections
+    only, so the encoder runs on constants and records nothing."""
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config(batch=2)
+    params = tr.init_params(cfg, len(vocab))
+    velocities = {n: np.zeros_like(a) for n, a in params.items()}
+    created = []
+    real_encode = tr.encoder.encode_grid
+
+    def spy(*args, **kwargs):
+        tape = ad._ACTIVE.stack[-1]
+        before = len(tape.nodes)
+        out = real_encode(*args, **kwargs)
+        created.append(len(tape.nodes) - before)
+        return out
+
+    monkeypatch.setattr(tr.encoder, "encode_grid", spy)
+    tr.train_epoch(params, velocities, dialogues, {d.id for d in dialogues},
+                   vocab, cfg, epoch=0, shuffle_rng=np.random.default_rng(0),
+                   drop_rng=np.random.default_rng(1))
+    # one batch: Phase 1 descent, Phase 1 ascent, Phase 2
+    assert len(created) == 3
+    descent, ascent, task = created
+    assert ascent == 0
+    assert descent > 0 and task > 0
+
+
+@pytest.mark.parametrize("n_adv", [3, 8], ids=["sampled", "all"])
+def test_phase1_walks_only_the_sampled_dialogues(monkeypatch, n_adv):
+    """Phase 1 sees each sampled dialogue once per step kind and no
+    other; with every dialogue sampled it reuses Phase 2's batches."""
+    dialogues = toy_dialogues() * 4
+    for i, d in enumerate(dialogues):
+        dialogues[i] = cp.Dialogue(f"d-{i}", d.satisfaction, d.utterances)
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config(batch=3)
+    params = tr.init_params(cfg, len(vocab))
+    velocities = {n: np.zeros_like(a) for n, a in params.items()}
+    seen = {"adv": [], "task": []}
+    real_adv, real_task = tr.forward_adv, tr.forward_task
+
+    def spy_adv(P, batch, *args, **kwargs):
+        seen["adv"].append(batch)
+        return real_adv(P, batch, *args, **kwargs)
+
+    def spy_task(P, batch, *args, **kwargs):
+        seen["task"].append(batch)
+        return real_task(P, batch, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_adv", spy_adv)
+    monkeypatch.setattr(tr, "forward_task", spy_task)
+    adv_ids = {d.id for d in dialogues[:n_adv]}
+    tr.train_epoch(params, velocities, dialogues, adv_ids, vocab, cfg, epoch=0,
+                   shuffle_rng=np.random.default_rng(0),
+                   drop_rng=np.random.default_rng(1))
+    descent = seen["adv"][::2]
+    assert [id(b) for b in seen["adv"][1::2]] == [id(b) for b in descent]
+    assert sum(b.size for b in descent) == n_adv
+    assert sum(b.size for b in seen["task"]) == len(dialogues)
+    reused = [id(b) for b in descent] == [id(b) for b in seen["task"]]
+    assert reused == (n_adv == len(dialogues))
+
+
 def test_epoch_without_adversarial_sample_never_touches_discriminator():
     dialogues = toy_dialogues() * 4
     for i, d in enumerate(dialogues):
