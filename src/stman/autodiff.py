@@ -27,9 +27,7 @@ __all__ = [
     "constant",
     "matmul",
     "add",
-    "sub",
     "hadamard",
-    "sigmoid",
     "tanh",
     "softmax_rows",
     "masked_softmax",
@@ -39,8 +37,6 @@ __all__ = [
     "sum_all",
     "log_clamped",
     "gather_rows",
-    "slice_rows",
-    "slice_cols",
     "reshape",
     "packed_sum",
     "lstm_seq",
@@ -223,21 +219,6 @@ def add(a: Node, b: Node) -> Node:
     return out
 
 
-def sub(a: Node, b: Node) -> Node:
-    _check_same_shape("sub", a, b)
-    out, rec = _record(a.value - b.value, (a, b))
-    if rec:
-
-        def rule():
-            g = out.grad
-            _acc_copy(a, g)
-            if b.requires_grad:
-                _acc(b, -g)
-
-        out.backward_rule = rule
-    return out
-
-
 def hadamard(a: Node, b: Node) -> Node:
     _check_same_shape("hadamard", a, b)
     out, rec = _record(a.value * b.value, (a, b))
@@ -249,19 +230,6 @@ def hadamard(a: Node, b: Node) -> Node:
                 _acc(a, g * b.value)
             if b.requires_grad:
                 _acc(b, g * a.value)
-
-        out.backward_rule = rule
-    return out
-
-
-def sigmoid(x: Node) -> Node:
-    # tanh form avoids exp overflow for large negative inputs
-    y = 0.5 * (np.tanh(0.5 * x.value) + 1.0)
-    out, rec = _record(y, (x,))
-    if rec:
-
-        def rule():
-            _acc(x, out.grad * (y * (1.0 - y)))
 
         out.backward_rule = rule
     return out
@@ -440,36 +408,6 @@ def gather_rows(table: Node, ids) -> Node:
             if table.grad is None:
                 table.grad = np.zeros_like(table.value)
             table.grad[rows] += np.add.reduceat(out.grad[order], starts, axis=0)
-
-        out.backward_rule = rule
-    return out
-
-
-def slice_rows(x: Node, start: int, stop: int) -> Node:
-    if not (0 <= start < stop <= x.value.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {x.value.shape}")
-    out, rec = _record(x.value[start:stop].copy(), (x,))
-    if rec:
-
-        def rule():
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[start:stop] += out.grad
-
-        out.backward_rule = rule
-    return out
-
-
-def slice_cols(x: Node, start: int, stop: int) -> Node:
-    if not (0 <= start < stop <= x.value.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] out of range for {x.value.shape}")
-    out, rec = _record(np.ascontiguousarray(x.value[:, start:stop]), (x,))
-    if rec:
-
-        def rule():
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[:, start:stop] += out.grad
 
         out.backward_rule = rule
     return out

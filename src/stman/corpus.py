@@ -14,8 +14,11 @@ reserved (UNK and PAD) and never written to the file.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -38,6 +41,7 @@ __all__ = [
     "canonical_satisfaction",
     "parse_corpus",
     "write_corpus",
+    "atomic_write",
     "relabel_speaker_turns",
     "build_vocab",
     "save_vocab",
@@ -160,8 +164,28 @@ def parse_corpus(path) -> list[Dialogue]:
     return dialogues
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Text file handle whose contents replace ``path`` only when the
+    block completes. The writes go to a temporary file beside ``path``,
+    which ``os.replace`` moves over it; if anything raises first, the
+    temporary file is removed and ``path`` is left as it was. This guards
+    against a writer that fails or is interrupted, not against power loss
+    (nothing is fsynced)."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_corpus(dialogues, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for d in dialogues:
             obj = {
                 "id": d.id,
@@ -221,7 +245,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
         # the file holds one token per line
         if "\n" in tok or "\r" in tok:
             raise ValueError(f"vocabulary token {tok!r} contains a line break")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for tok, i in items:
             fh.write(f"{tok}\t{i}\n")
 

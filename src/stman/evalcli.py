@@ -300,7 +300,7 @@ def _resolve_config(args) -> ModelConfig:
 def _dump_json(payload, path=None) -> str:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with cp.atomic_write(path) as fh:
             fh.write(text)
     return text
 

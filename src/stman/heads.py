@@ -1,5 +1,9 @@
 """Decoders: role-masked attention USE head, per-utterance SA head, and
 the task discriminator that tries to tell the two feature streams apart.
+
+Every head reads a stream whole, as the (L*B, K) position-major matrix
+the interaction layer emits (row t*B + b is step t of dialogue b), and
+the per-utterance heads return one (L*B, C) distribution matrix.
 """
 
 from __future__ import annotations
@@ -45,44 +49,40 @@ def param_specs(K: int, H: int, use_aux: bool,
     return specs
 
 
-def use_decode_steps(P: dict, H_m: list, keep: np.ndarray,
-                     last_onehot: np.ndarray):
+def use_decode_steps(P: dict, H_m: ad.Node, keep: np.ndarray, last: np.ndarray):
     """Attention-pooled satisfaction distribution for a batch.
 
-    H_m: per-step (B, K) nodes. keep: (B, L) positions eligible for
-    attention (user-only when the role mask is on, every real utterance
-    otherwise; padding never). last_onehot: (B, L) with a single 1 at each
+    H_m: the (L*B, K) position-major states. keep: (B, L) positions
+    eligible for attention (user-only when the role mask is on, every real
+    utterance otherwise; padding never). last: (B,) index of each
     dialogue's final real utterance. Returns (p_m (B,3), alpha (B,L)).
     """
-    scores = ad.hstack([
-        ad.matmul(ad.tanh(ad.add_bias(ad.matmul(h, P["use.W_u"]), P["use.b_u"])),
-                  P["use.U_u"])
-        for h in H_m
-    ])
-    alpha = ad.masked_softmax(scores, keep)
-    pooled = None
-    last = None
-    for t, h in enumerate(H_m):
-        p_term = ad.scale_columns(h, ad.slice_cols(alpha, t, t + 1))
-        l_term = ad.scale_columns(h, ad.constant(last_onehot[:, t : t + 1]))
-        pooled = p_term if pooled is None else ad.add(pooled, p_term)
-        last = l_term if last is None else ad.add(last, l_term)
-    o = ad.hstack([pooled, last])
+    B, L = keep.shape
+    scores = ad.matmul(ad.tanh(ad.add_bias(ad.matmul(H_m, P["use.W_u"]),
+                                           P["use.b_u"])), P["use.U_u"])
+    # cell (b, t) of the (B, L) grid reads row t*B + b of the scores, and
+    # row t*B + b of the weight column reads cell (b, t) back
+    cell = np.arange(L) * B + np.arange(B)[:, None]
+    back = np.arange(B) * L + np.arange(L)[:, None]
+    alpha = ad.masked_softmax(
+        ad.reshape(ad.gather_rows(scores, cell.reshape(-1)), B, L), keep)
+    w = ad.gather_rows(ad.reshape(alpha, B * L, 1), back.reshape(-1))
+    pooled = ad.packed_sum(ad.scale_columns(H_m, w), [B] * L)
+    final = ad.gather_rows(H_m, last * B + np.arange(B))
+    o = ad.hstack([pooled, final])
     p_m = ad.softmax_rows(ad.add_bias(ad.matmul(o, P["use.W_o"]), P["use.b_o"]))
     return p_m, alpha
 
 
-def sa_decode(P: dict, H_a: list) -> list:
-    """Per-step sentiment distributions, one (B, 3) node per state."""
-    return [ad.softmax_rows(ad.add_bias(ad.matmul(h, P["sa.W"]), P["sa.b"]))
-            for h in H_a]
+def sa_decode(P: dict, H_a: ad.Node) -> ad.Node:
+    """Sentiment distributions of every state, one (L*B, 3) node."""
+    return ad.softmax_rows(ad.add_bias(ad.matmul(H_a, P["sa.W"]), P["sa.b"]))
 
 
-def discriminate_steps(P: dict, X: ad.Node, B: int, L: int, K: int) -> list:
-    """GRU over one task-feature stream (position-major X), per-step
-    softmax over the two task classes. Returns L nodes of shape (B, 2)."""
+def discriminate_steps(P: dict, X: ad.Node, B: int, L: int, K: int) -> ad.Node:
+    """GRU over one task-feature stream (position-major X), then a softmax
+    over the two task classes at every step: one (L*B, 2) node."""
     H = ad.gru_seq(ad.matmul(X, interaction.gates(P, "td", "W")),
                    interaction.gates(P, "td", "U"),
                    interaction.gates(P, "td", "b"), [B] * L)
-    probs = ad.softmax_rows(ad.add_bias(ad.matmul(H, P["td.W_o"]), P["td.b_o"]))
-    return [ad.slice_rows(probs, t * B, (t + 1) * B) for t in range(L)]
+    return ad.softmax_rows(ad.add_bias(ad.matmul(H, P["td.W_o"]), P["td.b_o"]))

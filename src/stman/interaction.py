@@ -13,8 +13,8 @@ step counts ``[B] * L``), with its input projections for every step made
 in one matmul beforehand: ``X W`` for the shared GRU, ``X_aug W + H_s U^s``
 for a private one, whose bias is a zero constant. The r|z|h gate blocks
 are concatenated at run time from the separately named parameters, so
-the checkpoint format is the one of a per-gate model. The consumers get
-per-step (B, K) states as row slices of the fused output.
+the checkpoint format is the one of a per-gate model. The heads read
+each stream's fused (L*B, K) output whole.
 """
 
 from __future__ import annotations
@@ -70,12 +70,12 @@ def gates(P: dict, prefix: str, part: str) -> ad.Node:
 
 
 def _task_stream(P: dict, task: str, X: ad.Node, C, shared, B: int,
-                 L: int, K: int) -> list[ad.Node]:
+                 L: int, K: int) -> ad.Node:
     """One task's pass: shared-state sequence from this task's X using the
     single shared parameter set (``shared`` = its W, U, b gate blocks),
     then the private variant on top, whose input projection also reads
-    the same-step shared state through U^s. Every step at once, then
-    split back into L (B, K) states."""
+    the same-step shared state through U^s. Every step at once; returns
+    the (L*B, K) private states."""
     counts = [B] * L
     W_s, U_s, b_s = shared
     H_s = ad.gru_seq(ad.matmul(X, W_s), U_s, b_s, counts)
@@ -83,17 +83,16 @@ def _task_stream(P: dict, task: str, X: ad.Node, C, shared, B: int,
     X_aug = X if C is None else ad.hstack([X, C])
     XW = ad.add(ad.matmul(X_aug, gates(P, pre, "W")),
                 ad.matmul(H_s, gates(P, pre, "Us")))
-    H_k = ad.gru_seq(XW, gates(P, pre, "U"), ad.constant(np.zeros((1, 3 * K))),
-                     counts)
-    return [ad.slice_rows(H_k, t * B, (t + 1) * B) for t in range(L)]
+    return ad.gru_seq(XW, gates(P, pre, "U"), ad.constant(np.zeros((1, 3 * K))),
+                      counts)
 
 
 def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, B: int, L: int,
                     K: int, use_st: bool, use_aux: bool):
     """V is (L*B, 2E) position-major; turn is the (B, L) flag grid.
 
-    Returns (H_m, H_a): the per-step private hidden states of each task
-    stream (lists of (B, K) nodes); H_a is None without the SA stream.
+    Returns (H_m, H_a): the private hidden states of each task stream,
+    (L*B, K) position-major nodes; H_a is None without the SA stream.
     """
     X_m = project(P, V, "m")
     X_a = project(P, V, "a") if use_aux else None

@@ -216,19 +216,15 @@ def momentum_step(params: dict, velocities: dict, grads: dict, lr: float,
 # ------------------------------------------------------------------ losses
 
 
-def _last_valid_onehot(utt_valid: np.ndarray) -> np.ndarray:
-    B, L = utt_valid.shape
-    onehot = np.zeros((B, L))
-    last = utt_valid.sum(axis=1) - 1
-    onehot[np.arange(B), last] = 1.0
-    return onehot
+def _log_likelihood(probs: ad.Node, weights: np.ndarray) -> ad.Node:
+    """sum(weights * log p) over one matrix of distributions."""
+    return ad.sum_all(ad.hadamard(ad.constant(weights), ad.log_clamped(probs)))
 
 
-def _log_likelihood(probs: list, weights: np.ndarray) -> ad.Node:
-    """sum(weights * log p) over the column-stacked (B, C) distributions;
-    column block k of weights belongs to probs[k]."""
-    return ad.sum_all(ad.hadamard(ad.constant(weights),
-                                  ad.log_clamped(ad.hstack(probs))))
+def _position_major(grid: np.ndarray) -> np.ndarray:
+    """A (B, L) per-utterance grid as the (L*B,) column of the states:
+    entry t*B + b is grid[b, t]."""
+    return grid.T.reshape(-1)
 
 
 def task_loss(p_m: ad.Node, sat: np.ndarray, sa_probs, sent: np.ndarray,
@@ -242,28 +238,29 @@ def task_loss(p_m: ad.Node, sat: np.ndarray, sa_probs, sent: np.ndarray,
     B = sat.shape[0]
     w_m = np.zeros((B, heads.N_SAT))
     w_m[np.arange(B), sat] = 1.0 / B
+    loss = _log_likelihood(p_m, -w_m)
     if not use_aux:
-        return _log_likelihood([p_m], -w_m)
+        return loss
     lengths = utt_valid.sum(axis=1, keepdims=True)
-    w_sa = np.zeros(utt_valid.shape + (heads.N_SENT,))
-    rows, steps = np.indices(utt_valid.shape)
-    w_sa[rows, steps, sent] = np.where(utt_valid, 1.0 / (lengths * B), 0.0)
-    return _log_likelihood([p_m, *sa_probs],
-                           -np.hstack([w_m, w_sa.reshape(B, -1)]))
+    share = _position_major(np.where(utt_valid, 1.0 / (lengths * B), 0.0))
+    w_sa = np.zeros((share.size, heads.N_SENT))
+    w_sa[np.arange(share.size), _position_major(sent)] = share
+    return ad.add(loss, _log_likelihood(sa_probs, -w_sa))
 
 
-def adv_loss(pk_m, pk_a, utt_valid: np.ndarray) -> ad.Node:
+def adv_loss(pk_m: ad.Node, pk_a: ad.Node, utt_valid: np.ndarray) -> ad.Node:
     """Discriminator log-likelihood J: per dialogue, mean log-probability
     of the true origin over the 2L feature rows (L from each stream),
     then batch-mean. Maximization ascends it, minimization descends it."""
-    B, L = utt_valid.shape
+    B = utt_valid.shape[0]
     lengths = utt_valid.sum(axis=1, keepdims=True)
-    w = np.where(utt_valid, 1.0 / (2.0 * lengths * B), 0.0)
-    # (dialogue, stream, step, class): each stream's true class is its index
-    weights = np.zeros((B, 2, L, heads.N_TASKS))
-    weights[:, 0, :, 0] = w
-    weights[:, 1, :, 1] = w
-    return _log_likelihood([*pk_m, *pk_a], weights.reshape(B, -1))
+    w = _position_major(np.where(utt_valid, 1.0 / (2.0 * lengths * B), 0.0))
+    # columns: stream m's two classes, then stream a's; each stream's
+    # true class is its index
+    weights = np.zeros((w.size, 2 * heads.N_TASKS))
+    weights[:, 0] = w
+    weights[:, heads.N_TASKS + 1] = w
+    return _log_likelihood(ad.hstack([pk_m, pk_a]), weights)
 
 
 # ---------------------------------------------------------------- forwards
@@ -271,15 +268,16 @@ def adv_loss(pk_m, pk_a, utt_valid: np.ndarray) -> ad.Node:
 
 def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
                  train_mode: bool = False, drop_rng=None):
-    """Full task forward on one batch. Returns (loss, p_m, sa_probs);
-    sa_probs is None without the auxiliary head."""
+    """Full task forward on one batch. Returns (loss, p_m, sa_probs):
+    p_m is (B, 3), sa_probs the (L*B, 3) position-major sentiment
+    distributions, or None without the auxiliary head."""
     B, L, _ = batch.ids.shape
     rate = cfg.dropout if train_mode else 0.0
     V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, rate, drop_rng)
     H_m, H_a = interaction.run_interaction(P, V, batch.turn, B, L, cfg.K,
                                            cfg.use_st, cfg.use_aux)
     keep = (batch.is_user & batch.utt_valid) if cfg.use_mask else batch.utt_valid
-    p_m, _ = heads.use_decode_steps(P, H_m, keep, _last_valid_onehot(batch.utt_valid))
+    p_m, _ = heads.use_decode_steps(P, H_m, keep, batch.utt_valid.sum(axis=1) - 1)
     sa_probs = heads.sa_decode(P, H_a) if cfg.use_aux else None
     loss = task_loss(p_m, batch.sat, sa_probs, batch.sent, batch.utt_valid,
                      cfg.use_aux)
@@ -289,7 +287,8 @@ def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
 def forward_discriminator(P: dict, batch: cp.Batch, cfg: ModelConfig,
                           train_mode: bool = False, drop_rng=None):
     """Encoder, both dense projections, and the discriminator over each
-    stream. Returns (pk_m, pk_a): per-step (B, 2) origin distributions."""
+    stream. Returns (pk_m, pk_a): each stream's (L*B, 2) position-major
+    origin distributions."""
     B, L, _ = batch.ids.shape
     rate = cfg.dropout if train_mode else 0.0
     V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, rate, drop_rng)
@@ -315,12 +314,11 @@ def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
     total = 0
     for batch in cp.batchify(dialogues, vocab, cfg.batch):
         pk_m, pk_a = forward_discriminator(as_leaves(params), batch, cfg)
+        valid = _position_major(batch.utt_valid)
         for cls, stream in ((0, pk_m), (1, pk_a)):
-            for t, p_t in enumerate(stream):
-                preds = np.argmax(p_t.value, axis=1)
-                valid = batch.utt_valid[:, t]
-                correct += int(np.sum((preds == cls) & valid))
-                total += int(np.sum(valid))
+            preds = np.argmax(stream.value, axis=1)
+            correct += int(np.sum((preds == cls) & valid))
+            total += int(np.sum(valid))
     return correct / total
 
 
@@ -464,8 +462,9 @@ def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,
         _, p_m, sa_probs = forward_task(P, batch, cfg, train_mode=False)
         use_preds.extend(int(i) for i in np.argmax(p_m.value, axis=1))
         if cfg.use_aux:
-            stacked = np.stack([p.value for p in sa_probs], axis=1)  # (B, L, 3)
-            sa_preds.extend(int(i) for i in np.argmax(stacked[batch.utt_valid], axis=1))
+            # position-major rows back to the (B, L) grid, for corpus order
+            preds = np.argmax(sa_probs.value, axis=1).reshape(-1, batch.size).T
+            sa_preds.extend(int(i) for i in preds[batch.utt_valid])
     return use_preds, sa_preds
 
 
@@ -498,14 +497,15 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, vocab_size: int) -> No
             for name, arr in params.items()
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with cp.atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
 def load_checkpoint(path):
-    """Returns (params, config, vocab_size); every shape is validated
-    against what the config says the model must contain."""
+    """Returns (params, config, vocab_size). Every shape is validated
+    against what the config says the model must contain, and every value
+    must be a finite number; an error names the parameter or field."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
@@ -514,6 +514,8 @@ def load_checkpoint(path):
     cfg = ModelConfig(**{k: v for k, v in payload["config"].items() if k in known})
     cfg.validate()
     vocab_size = payload["vocab_size"]
+    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:
+        raise ValueError(f"vocab_size must be an int >= 1, got {vocab_size!r}")
     expected = dict(param_specs(cfg, vocab_size))
     got = payload["params"]
     if set(got) != set(expected):
@@ -525,8 +527,17 @@ def load_checkpoint(path):
         entry = got[name]
         if tuple(entry["shape"]) != spec:
             raise ValueError(f"{name}: shape {entry['shape']} != expected {list(spec)}")
-        arr = np.array(entry["values"], dtype=np.float64).reshape(spec)
-        params[name] = arr
+        size = spec[0] * spec[1]
+        try:
+            values = np.asarray(entry["values"])
+        except ValueError:  # ragged nesting
+            values = None
+        if values is None or values.dtype.kind not in "iuf" or values.shape != (size,):
+            raise ValueError(f"{name}: values must be a flat list of {size} "
+                             f"numbers for shape {list(spec)}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name}: non-finite value in the checkpoint")
+        params[name] = values.astype(np.float64, copy=False).reshape(spec)
     return params, cfg, vocab_size
 
 

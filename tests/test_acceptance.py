@@ -86,11 +86,9 @@ def test_criterion_2_exactness_fixtures():
     P = {name: rng.uniform(-0.3, 0.3, size=shape)
          for name, shape in hd.param_specs(K, H, False, False)}
     leaves = {k: ad.leaf(v) for k, v in P.items()}
-    states = [ad.constant(np.atleast_2d(row))
-              for row in rng.normal(size=(L, K))]
+    states = ad.constant(rng.normal(size=(L, K)))
     keep = np.array([[True, False, True, False, True]])
-    last = np.array([[0.0, 0.0, 0.0, 0.0, 1.0]])
-    _, alpha = hd.use_decode_steps(leaves, states, keep, last)
+    _, alpha = hd.use_decode_steps(leaves, states, keep, np.array([L - 1]))
     assert alpha.value[0, 1] == 0.0 and alpha.value[0, 3] == 0.0
     assert abs(alpha.value[0, [0, 2, 4]].sum() - 1.0) <= 1e-12
 
@@ -174,7 +172,7 @@ def test_criterion_3_oracle_equivalence():
             h_s = gru_shared_ref(x_t, h_s, P)
             c_t = P["turn.emb"][flags[t]:flags[t] + 1]
             h_k = gru_task_ref(np.hstack([x_t, c_t]), h_k, h_s, P, prefix)
-            assert np.max(np.abs(H[t].value - h_k)) <= 1e-10, (prefix, t)
+            assert np.max(np.abs(H.value[t] - h_k)) <= 1e-10, (prefix, t)
 
 
 def test_criterion_4_training_sanity(basic_runs):

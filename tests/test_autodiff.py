@@ -73,7 +73,6 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_elementwise_fixtures():
-    assert ad.sigmoid(ad.constant([[0.0]])).value[0, 0] == 0.5
     assert ad.tanh(ad.constant([[0.0]])).value[0, 0] == 0.0
     had = ad.hadamard(ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]))
     assert np.array_equal(had.value, [[3.0, 8.0]])
@@ -82,7 +81,7 @@ def test_elementwise_fixtures():
 def test_elementwise_shape_errors():
     a = ad.constant(np.zeros((2, 2)))
     b = ad.constant(np.zeros((2, 3)))
-    for op in (ad.add, ad.sub, ad.hadamard):
+    for op in (ad.add, ad.hadamard):
         with pytest.raises(ad.ShapeError):
             op(a, b)
 
@@ -163,11 +162,11 @@ def test_backward_square():
     assert x.grad[0, 0] == 6.0
 
 
-def test_backward_sum_sigmoid_wx():
+def test_backward_sum_tanh_wx():
     rng = np.random.default_rng(3)
     W = rng.normal(size=(4, 3))
     x = rng.normal(size=(3, 2))
-    fd_check(lambda ls: ad.sum_all(ad.sigmoid(ad.matmul(ls[0], ls[1]))), [W, x])
+    fd_check(lambda ls: ad.sum_all(ad.tanh(ad.matmul(ls[0], ls[1]))), [W, x])
 
 
 def test_constants_receive_no_gradient():
@@ -263,7 +262,7 @@ def test_shared_leaf_collects_both_branch_contributions():
 
 def test_finite_outputs_on_extreme_inputs():
     big = ad.constant([[1000.0, -1000.0, 0.0]])
-    for out in (ad.sigmoid(big), ad.tanh(big), ad.softmax_rows(big),
+    for out in (ad.tanh(big), ad.softmax_rows(big),
                 ad.masked_softmax(big, [True, True, False])):
         assert np.all(np.isfinite(out.value))
 
@@ -433,10 +432,7 @@ def test_every_op_against_finite_differences():
                                                    ad.constant(w_mp))), [a, b])
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.add(ls[0], ls[1]),
                                                    ad.constant(w_mn))), [a, s])
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.sub(ls[0], ls[1]),
-                                                   ad.constant(w_mn))), [a, s])
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ls[0], ls[1])), [a, s])
-        fd_check(lambda ls: ad.sum_all(ad.sigmoid(ls[0])), [a])
         fd_check(lambda ls: ad.sum_all(ad.tanh(ls[0])), [a])
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.softmax_rows(ls[0]),
                                                    ad.constant(w_mn))), [a])
@@ -470,17 +466,6 @@ def test_every_op_against_finite_differences():
         w_g = rng.normal(size=(4, n))
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.gather_rows(ls[0], ids),
                                                    ad.constant(w_g))), [table])
-
-        r0 = int(rng.integers(0, m))
-        r1 = int(rng.integers(r0 + 1, m + 1))
-        w_r = rng.normal(size=(r1 - r0, n))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.slice_rows(ls[0], r0, r1),
-                                                   ad.constant(w_r))), [a])
-        c0 = int(rng.integers(0, n))
-        c1 = int(rng.integers(c0 + 1, n + 1))
-        w_c = rng.normal(size=(m, c1 - c0))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.slice_cols(ls[0], c0, c1),
-                                                   ad.constant(w_c))), [a])
 
         w_t = rng.normal(size=(n, m))
         fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.reshape(ls[0], n, m),

@@ -236,6 +236,34 @@ def test_generator_same_seed_byte_identical(tmp_path):
     assert len(a.read_bytes()) > 0
 
 
+def test_atomic_write_keeps_old_file_when_the_block_raises(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="midway"):
+        with cp.atomic_write(path) as fh:
+            fh.write("half")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with cp.atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_corpus_failing_midway_leaves_old_file(tmp_path):
+    path = tmp_path / "c.jsonl"
+    cp.write_corpus(cp.generate_synthetic(3, 0.5, seed=1), path)
+    before = path.read_bytes()
+    # the second dialogue cannot be serialized, after the first was written
+    bad = make_dialogue("d2")
+    bad.utterances[0].tokens = [object()]
+    with pytest.raises(TypeError):
+        cp.write_corpus([make_dialogue("d1"), bad], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+
 def test_generator_structural_contracts():
     dialogues = cp.generate_synthetic(80, 0.5, seed=5)
     assert len(dialogues) == 80

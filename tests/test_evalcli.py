@@ -1,6 +1,7 @@
 """Metrics, baselines, config files, and the command-line surface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -353,3 +354,40 @@ def test_cli_grad_check_passes_at_tolerance(capsys):
     assert ev.main(["grad-check", "--seed", "0", "--tol", "1e-4"]) == 0
     out = capsys.readouterr().out
     assert "worst relative error" in out
+
+
+# ------------------------------------------------------------- artifacts
+
+
+def _tiny_params():
+    cfg = tr.ModelConfig(K=2, Z=2, H=2, D=2, E=2)
+    return tr.init_params(cfg, 5), cfg
+
+
+ARTIFACT_WRITERS = {
+    "write_corpus": lambda path: cp.write_corpus(
+        cp.generate_synthetic(2, 0.5, seed=1), path),
+    "save_vocab": lambda path: cp.save_vocab(
+        cp.build_vocab(cp.generate_synthetic(2, 0.5, seed=1)), path),
+    "save_checkpoint": lambda path: tr.save_checkpoint(path, *_tiny_params(), 5),
+    "_dump_json": lambda path: ev._dump_json({"a": 1}, path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+def test_artifact_writer_failing_leaves_old_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        ARTIFACT_WRITERS[writer](str(path))
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    monkeypatch.undo()
+    ARTIFACT_WRITERS[writer](str(path))
+    assert path.read_bytes() != b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

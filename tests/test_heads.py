@@ -21,16 +21,15 @@ def as_leaves(params):
 
 
 def states_of(values):
-    return [ad.constant(np.atleast_2d(v)) for v in values]
+    """One dialogue's states as the (L, K) node of a batch of one."""
+    return ad.constant(np.atleast_2d(values))
 
 
 def use_decode(P, H_m, roles, use_mask=True):
-    """One dialogue: H_m is its per-utterance state list, roles the
-    matching speakers."""
+    """One dialogue: H_m is its (L, K) state node, roles the matching
+    speakers."""
     keep = np.array([[r == "user" or not use_mask for r in roles]])
-    last = np.zeros((1, len(H_m)))
-    last[0, -1] = 1.0
-    return hd.use_decode_steps(P, H_m, keep, last)
+    return hd.use_decode_steps(P, H_m, keep, np.array([len(roles) - 1]))
 
 
 def discriminate(P, X, K):
@@ -120,8 +119,8 @@ def test_output_logit_shift_preserves_distribution_ranking():
 def test_sa_zero_params_give_uniform_sentiment():
     P = {name: np.zeros(shape) for name, shape in hd.param_specs(3, 2, True, False)}
     probs = hd.sa_decode(as_leaves(P), states_of(np.random.default_rng(14).normal(size=(3, 3))))
-    for p in probs:
-        assert np.max(np.abs(p.value - 1.0 / 3.0)) <= 1e-15
+    assert probs.shape == (3, 3)
+    assert np.max(np.abs(probs.value - 1.0 / 3.0)) <= 1e-15
 
 
 def test_sa_probabilities_match_brute_force():
@@ -130,19 +129,18 @@ def test_sa_probabilities_match_brute_force():
     rng = np.random.default_rng(16)
     states = rng.normal(size=(5, K))
     probs = hd.sa_decode(as_leaves(P), states_of(states))
-    for h, p in zip(states, probs):
+    for h, p in zip(states, probs.value):
         want = softmax_list((h[None, :] @ P["sa.W"] + P["sa.b"])[0])
-        assert np.max(np.abs(p.value[0] - want)) <= 1e-12
-        assert int(np.argmax(p.value[0])) == int(np.argmax(want))
+        assert np.max(np.abs(p - want)) <= 1e-12
+        assert int(np.argmax(p)) == int(np.argmax(want))
 
 
 def test_discriminator_zero_params_sit_on_the_fence():
     P = {name: np.zeros(shape) for name, shape in hd.param_specs(3, 2, False, True)}
     X = ad.constant(np.random.default_rng(17).normal(size=(4, 3)))
     probs = discriminate(as_leaves(P), X, K=3)
-    assert len(probs) == 4
-    for p in probs:
-        assert np.max(np.abs(p.value - 0.5)) <= 1e-15
+    assert probs.shape == (4, 2)
+    assert np.max(np.abs(probs.value - 0.5)) <= 1e-15
 
 
 def test_discriminator_matches_scalar_gru_reference():
@@ -154,8 +152,8 @@ def test_discriminator_matches_scalar_gru_reference():
     for t in range(L):
         h = gru_shared_ref(X[t : t + 1], h, P, prefix="td")
         want = softmax_list((h @ P["td.W_o"] + P["td.b_o"])[0])
-        assert np.max(np.abs(probs[t].value[0] - want)) <= 1e-12
-        assert abs(probs[t].value.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(probs.value[t] - want)) <= 1e-12
+        assert abs(probs.value[t].sum() - 1.0) <= 1e-12
 
 
 def test_discriminator_batch_rows_are_independent():
@@ -168,7 +166,7 @@ def test_discriminator_batch_rows_are_independent():
         Xb = np.vstack([X[t * B + b] for t in range(L)])
         solo = discriminate(as_leaves(P), ad.constant(Xb), K=K)
         for t in range(L):
-            assert np.max(np.abs(probs[t].value[b] - solo[t].value[0])) <= 1e-12
+            assert np.max(np.abs(probs.value[t * B + b] - solo.value[t])) <= 1e-12
 
 
 def test_use_gradients_match_finite_differences():
@@ -177,15 +175,13 @@ def test_use_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     states = rng.normal(size=(L, B, K)) * 0.5
     keep = np.array([[True, False, True], [True, True, False]])
-    last = np.zeros((B, L))
-    last[0, 2] = 1.0
-    last[1, 1] = 1.0
+    last = np.array([2, 1])
     target = np.zeros((B, hd.N_SAT))
     target[0, 1] = 1.0
     target[1, 2] = 1.0
 
     def build(leaves):
-        H_m = [ad.constant(states[t]) for t in range(L)]
+        H_m = ad.constant(states.reshape(L * B, K))
         p_m, _ = hd.use_decode_steps(leaves, H_m, keep, last)
         return ad.sum_all(ad.hadamard(ad.log_clamped(p_m), ad.constant(-target)))
 
@@ -207,14 +203,13 @@ def test_discriminator_gradients_match_finite_differences():
     K, L = 3, 3
     P = make_params(K, 2, use_aux=False, use_td=True, seed=24)
     X = np.random.default_rng(25).normal(size=(L, K)) * 0.5
+    class_0 = np.zeros((L, hd.N_TASKS))
+    class_0[:, 0] = 1.0
 
     def build(leaves):
+        # log-likelihood of class 0 at every step
         probs = discriminate(leaves, ad.constant(X), K=K)
-        total = None
-        for p in probs:  # log-likelihood of class 0 at every step
-            term = ad.log_clamped(ad.slice_cols(p, 0, 1))
-            total = term if total is None else ad.add(total, term)
-        return ad.sum_all(total)
+        return ad.sum_all(ad.hadamard(ad.log_clamped(probs), ad.constant(class_0)))
 
     names = sorted(n for n in P if n.startswith("td."))
     leaves = as_leaves(P)

@@ -194,7 +194,7 @@ def test_run_interaction_matches_dialogue_oracle():
             h_s = gru_shared_ref(x_t, h_s, P)
             c_t = P["turn.emb"][flags[t] : flags[t] + 1]
             h_k = gru_task_ref(np.hstack([x_t, c_t]), h_k, h_s, P, prefix)
-            assert np.max(np.abs(H[t].value - h_k)) <= 1e-10, (prefix, t)
+            assert np.max(np.abs(H.value[t] - h_k)) <= 1e-10, (prefix, t)
 
 
 def test_batches_are_independent():
@@ -204,13 +204,14 @@ def test_batches_are_independent():
     V = rng.normal(size=(L * B, 2 * E))
     turn = np.array([[0, 1], [1, 1]])
     (H_m, H_a), _ = run_toy(P, V, turn, B, L, K, use_st=True, use_aux=True)
+    assert H_m.shape == H_a.shape == (L * B, K)
     for b in range(B):
         Vb = np.vstack([V[t * B + b] for t in range(L)])
         (Hm1, Ha1), _ = run_toy(P, Vb, turn[b : b + 1], 1, L, K,
                                 use_st=True, use_aux=True)
         for t in range(L):
-            assert np.max(np.abs(H_m[t].value[b] - Hm1[t].value[0])) <= 1e-12
-            assert np.max(np.abs(H_a[t].value[b] - Ha1[t].value[0])) <= 1e-12
+            assert np.max(np.abs(H_m.value[t * B + b] - Hm1.value[t])) <= 1e-12
+            assert np.max(np.abs(H_a.value[t * B + b] - Ha1.value[t])) <= 1e-12
 
 
 def test_turn_flag_changes_only_later_steps():
@@ -224,9 +225,9 @@ def test_turn_flag_changes_only_later_steps():
     (Hb, _), _ = run_toy(P, V, turn_b, 1, L, K,
                          use_st=True, use_aux=False)
     for t in range(2):
-        assert np.array_equal(Ha[t].value, Hb[t].value)
+        assert np.array_equal(Ha.value[t], Hb.value[t])
     for t in range(2, L):
-        assert np.max(np.abs(Ha[t].value - Hb[t].value)) > 1e-8
+        assert np.max(np.abs(Ha.value[t] - Hb.value[t])) > 1e-8
 
 
 def test_streams_coincide_only_when_private_params_do():
@@ -241,11 +242,11 @@ def test_streams_coincide_only_when_private_params_do():
     (H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L, K,
                             use_st=False, use_aux=True)
     for t in range(L):
-        assert np.array_equal(H_m[t].value, H_a[t].value)
+        assert np.array_equal(H_m.value[t], H_a.value[t])
     P["proj.a.W"] = P["proj.a.W"] + 0.05
     (H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L, K,
                             use_st=False, use_aux=True)
-    assert np.max(np.abs(H_m[L - 1].value - H_a[L - 1].value)) > 1e-8
+    assert np.max(np.abs(H_m.value[L - 1] - H_a.value[L - 1])) > 1e-8
 
 
 def test_zero_turn_embedding_matches_variant_without_it():
@@ -270,7 +271,7 @@ def test_zero_turn_embedding_matches_variant_without_it():
     (Hb, _), _ = run_toy(P_off, V, turn, 1, L, K,
                          use_st=False, use_aux=True)
     for t in range(L):
-        assert np.max(np.abs(Ha[t].value - Hb[t].value)) <= 1e-13
+        assert np.max(np.abs(Ha.value[t] - Hb.value[t])) <= 1e-13
 
 
 def test_shared_gru_receives_gradient_from_both_streams():
@@ -284,7 +285,7 @@ def test_shared_gru_receives_gradient_from_both_streams():
                 leaves, ad.constant(V), np.zeros((1, L), dtype=int), 1, L, K,
                 use_st=False, use_aux=True)
             H = (H_m, H_a)[task_index]
-            tape.backward(ad.sum_all(H[L - 1]))
+            tape.backward(ad.sum_all(ad.gather_rows(H, [L - 1])))
         assert leaves["gru_s.W_r"].grad is not None
         assert np.any(leaves["gru_s.W_r"].grad != 0.0)
         # the other task's private weights stay out of this loss
@@ -307,8 +308,10 @@ def test_gradients_match_finite_differences():
         H_m, H_a = it.run_interaction(
             leaves, ad.constant(V), turn, B, L, K,
             use_st=True, use_aux=True)
-        return ad.add(ad.sum_all(ad.hadamard(H_m[L - 1], ad.constant(w_m))),
-                      ad.sum_all(ad.hadamard(H_a[L - 1], ad.constant(w_a))))
+        final = np.arange((L - 1) * B, L * B)  # the last step's rows
+        return ad.add(
+            ad.sum_all(ad.hadamard(ad.gather_rows(H_m, final), ad.constant(w_m))),
+            ad.sum_all(ad.hadamard(ad.gather_rows(H_a, final), ad.constant(w_a))))
 
     names = sorted(P)
     leaves = as_leaves(P)

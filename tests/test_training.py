@@ -154,6 +154,8 @@ def test_momentum_skips_absent_gradients():
 
 
 def constant_probs(rows):
+    """Distributions as one matrix; per-utterance ones are position-major
+    (row t*B + b), which for one dialogue is one row per step."""
     return ad.constant(np.array(rows, dtype=np.float64))
 
 
@@ -174,7 +176,7 @@ def test_task_loss_uniform_is_log3():
 def test_task_loss_with_uniform_sentiments_is_two_log3():
     L = 4
     p_m = constant_probs([[1 / 3] * 3])
-    sa = [constant_probs([[1 / 3] * 3]) for _ in range(L)]
+    sa = constant_probs([[1 / 3] * 3] * L)
     loss = tr.task_loss(p_m, np.array([1]), sa,
                         np.zeros((1, L), dtype=int),
                         np.ones((1, L), dtype=bool), use_aux=True)
@@ -183,7 +185,7 @@ def test_task_loss_with_uniform_sentiments_is_two_log3():
 
 def test_task_loss_mixed_fixture():
     p_m = constant_probs([[0.5, 0.25, 0.25]])
-    sa = [constant_probs([[0.25, 0.5, 0.25]]), constant_probs([[0.2, 0.2, 0.6]])]
+    sa = constant_probs([[0.25, 0.5, 0.25], [0.2, 0.2, 0.6]])
     loss = tr.task_loss(p_m, np.array([0]), sa, np.array([[1, 2]]),
                         np.ones((1, 2), dtype=bool), use_aux=True)
     want = -math.log(0.5) + 0.5 * (-math.log(0.5) - math.log(0.6))
@@ -200,7 +202,7 @@ def test_task_loss_batch_is_dialogue_mean():
 
 def test_task_loss_ignores_padded_sentiment_rows():
     p_m = constant_probs([[1.0, 0.0, 0.0]])
-    sa = [constant_probs([[0.5, 0.3, 0.2]]), constant_probs([[1e-30, 1.0, 0.0]])]
+    sa = constant_probs([[0.5, 0.3, 0.2], [1e-30, 1.0, 0.0]])
     valid = np.array([[True, False]])
     loss = tr.task_loss(p_m, np.array([0]), sa, np.array([[0, 0]]),
                         valid, use_aux=True)
@@ -208,32 +210,27 @@ def test_task_loss_ignores_padded_sentiment_rows():
 
 
 def test_adv_loss_perfect_discrimination_is_zero():
-    pk_m = [constant_probs([[1.0, 0.0]]), constant_probs([[1.0, 0.0]])]
-    pk_a = [constant_probs([[0.0, 1.0]]), constant_probs([[0.0, 1.0]])]
+    pk_m = constant_probs([[1.0, 0.0], [1.0, 0.0]])
+    pk_a = constant_probs([[0.0, 1.0], [0.0, 1.0]])
     j = tr.adv_loss(pk_m, pk_a, np.ones((1, 2), dtype=bool))
     assert abs(j.value[0, 0]) <= 1e-12
 
 
 def test_adv_loss_coin_flip_is_minus_log2():
-    pk = [constant_probs([[0.5, 0.5]])]
+    pk = constant_probs([[0.5, 0.5]])
     j = tr.adv_loss(pk, pk, np.ones((1, 1), dtype=bool))
     assert j.value[0, 0] == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_adv_loss_mixed_fixture_and_padding():
-    pk_m = [constant_probs([[0.9, 0.1]]), constant_probs([[0.8, 0.2]])]
-    pk_a = [constant_probs([[0.3, 0.7]]), constant_probs([[0.4, 0.6]])]
+    pk_m = constant_probs([[0.9, 0.1], [0.8, 0.2]])
+    pk_a = constant_probs([[0.3, 0.7], [0.4, 0.6]])
     j = tr.adv_loss(pk_m, pk_a, np.ones((1, 2), dtype=bool))
     want = (math.log(0.9) + math.log(0.8) + math.log(0.7) + math.log(0.6)) / 4.0
     assert j.value[0, 0] == pytest.approx(want, abs=1e-12)
     j_pad = tr.adv_loss(pk_m, pk_a, np.array([[True, False]]))
     want_pad = (math.log(0.9) + math.log(0.7)) / 2.0
     assert j_pad.value[0, 0] == pytest.approx(want_pad, abs=1e-12)
-
-
-def test_last_valid_onehot():
-    got = tr._last_valid_onehot(np.array([[1, 1, 0], [1, 0, 0]], dtype=bool))
-    assert np.array_equal(got, np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
 
 
 # --------------------------------------------------------- batched forwards
@@ -314,6 +311,23 @@ def test_predict_breaks_ties_toward_lowest_index():
     use_preds, sa_preds = tr.predict(params, dialogues, vocab, cfg)
     assert use_preds == [0, 0]
     assert sa_preds == [0] * 5  # one per real utterance, corpus order
+
+
+def test_batched_predictions_equal_single_dialogue_predictions():
+    # dialogues of several lengths, so batches carry padded steps
+    dialogues = cp.generate_synthetic(12, 0.9, seed=4)
+    assert len({len(d.utterances) for d in dialogues}) > 1
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config()
+    # scaled up from init so that the predicted classes vary
+    params = {name: 3.0 * arr
+              for name, arr in tr.init_params(cfg, len(vocab)).items()}
+    batched = tr.predict(params, dialogues, vocab, cfg)
+    assert len(set(batched[1])) == 3
+    assert batched == tr.predict(params, dialogues, vocab, cfg, batch_size=1)
+    assert (tr.discriminator_accuracy(params, dialogues, vocab, cfg)
+            == tr.discriminator_accuracy(params, dialogues, vocab,
+                                         small_config(batch=1)))
 
 
 def test_discriminator_accuracy_bounds_and_determinism():
@@ -614,7 +628,7 @@ def test_checkpoint_with_retired_schedule_keys_loads_and_predicts(tmp_path):
     _, p_want, sa_want = tr.forward_task(tr.as_leaves(params), batch, cfg)
     _, p_got, sa_got = tr.forward_task(tr.as_leaves(loaded), batch, cfg2)
     assert np.array_equal(p_got.value, p_want.value)
-    assert all(np.array_equal(g.value, w.value) for g, w in zip(sa_got, sa_want))
+    assert np.array_equal(sa_got.value, sa_want.value)
     assert (tr.predict(loaded, dialogues, vocab, cfg2)
             == tr.predict(params, dialogues, vocab, cfg))
 
@@ -636,4 +650,48 @@ def test_checkpoint_rejects_missing_and_misshapen_params(tmp_path):
     broken["sa.W"] = np.zeros((1, 1))
     tr.save_checkpoint(path, broken, cfg, len(vocab))
     with pytest.raises(ValueError, match="shape"):
+        tr.load_checkpoint(path)
+
+
+def _drop_last_value(payload):
+    payload["params"]["sa.W"]["values"].pop()
+
+
+def _set_first_value(value):
+    def doctor(payload):
+        payload["params"]["sa.W"]["values"][0] = value
+    return doctor
+
+
+def _set_vocab_size(value):
+    def doctor(payload):
+        payload["vocab_size"] = value
+    return doctor
+
+
+@pytest.mark.parametrize("doctor, names", [
+    # the JSON file carries these as NaN, Infinity and -Infinity
+    pytest.param(_set_first_value(math.nan), "^sa.W: non-finite", id="nan"),
+    pytest.param(_set_first_value(math.inf), "^sa.W: non-finite", id="inf"),
+    pytest.param(_set_first_value(-math.inf), "^sa.W: non-finite", id="-inf"),
+    pytest.param(_drop_last_value, "^sa.W: values must be a flat list of",
+                 id="one-short"),
+    pytest.param(_set_first_value("0.5"), "^sa.W: values must be", id="string"),
+    pytest.param(_set_first_value(None), "^sa.W: values must be", id="null"),
+    pytest.param(_set_first_value([0.5]), "^sa.W: values must be", id="nested"),
+    pytest.param(_set_vocab_size(7.0), "^vocab_size must be", id="vocab-float"),
+    pytest.param(_set_vocab_size(0), "^vocab_size must be", id="vocab-zero"),
+    pytest.param(_set_vocab_size(True), "^vocab_size must be", id="vocab-bool"),
+    pytest.param(_set_vocab_size("7"), "^vocab_size must be", id="vocab-string"),
+])
+def test_checkpoint_rejects_doctored_values(tmp_path, doctor, names):
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config()
+    path = tmp_path / "model.json"
+    tr.save_checkpoint(path, tr.init_params(cfg, len(vocab)), cfg, len(vocab))
+    payload = json.loads(path.read_text())
+    doctor(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=names):
         tr.load_checkpoint(path)
