@@ -407,16 +407,18 @@ def _encode_batch(chunk: list[Dialogue], vocab: Vocabulary) -> Batch:
     sent = np.zeros((B, L), dtype=np.intp)
     sat = np.zeros(B, dtype=np.intp)
     for b, d in enumerate(chunk):
-        flags = relabel_speaker_turns(d.roles())
+        utts = d.utterances
+        n = len(utts)
+        valid = np.arange(T) < np.array([len(u.tokens) for u in utts])[:, None]
+        tok_valid[b, :n] = valid
+        # a boolean mask selects cells in row-major order: utterance by
+        # utterance, token by token
+        ids[b, :n][valid] = [vocab.id_of(tok) for u in utts for tok in u.tokens]
+        utt_valid[b, :n] = True
+        is_user[b, :n] = [u.speaker == "user" for u in utts]
+        turn[b, :n] = relabel_speaker_turns(d.roles())
+        sent[b, :n] = [SENTIMENTS.index(u.sentiment) for u in utts]
         sat[b] = SATISFACTIONS.index(d.satisfaction)
-        for t, u in enumerate(d.utterances):
-            utt_valid[b, t] = True
-            is_user[b, t] = u.speaker == "user"
-            turn[b, t] = flags[t]
-            sent[b, t] = SENTIMENTS.index(u.sentiment)
-            for j, tok in enumerate(u.tokens):
-                ids[b, t, j] = vocab.id_of(tok)
-                tok_valid[b, t, j] = True
     return Batch(ids, tok_valid, utt_valid, is_user, turn, sent, sat,
                  [d.id for d in chunk])
 

@@ -9,7 +9,11 @@ tokens are sorted by length, longest first (a stable sort, so ties keep
 grid order), and their tokens packed step-major: step j holds the rows
 still running at j, a prefix of the sorted rows. Each LSTM direction is
 one ``ad.lstm_seq`` node over that packing; the backward direction
-enters each utterance at its last real token from the zero state.
+enters each utterance at its last real token from the zero state. The
+input projections are made once per distinct token of the batch (a
+batch repeats a small vocabulary many times) and then gathered to one
+row per token, so the embedding gradient and the input-weight gradients
+are sums over distinct tokens rather than over every token.
 Attention pools each sorted row over its real tokens, and the pooled
 rows go back to their grid rows. An all-pad row comes out exactly zero
 and is flagged for downstream exclusion.
@@ -81,11 +85,13 @@ def _encode_sorted(P: dict, grid: np.ndarray, mask: np.ndarray, E: int) -> ad.No
     Rs, T = grid.shape
     steps, rows = np.nonzero(mask.T)
     counts = np.bincount(steps)
-    X = ad.gather_rows(P["enc.emb"], grid[rows, steps])
-    fwd = ad.lstm_seq(ad.matmul(X, P["enc.lstm_f.W"]), P["enc.lstm_f.U"],
-                      P["enc.lstm_f.b"], counts)
-    bwd = ad.lstm_seq(ad.matmul(X, P["enc.lstm_b.W"]), P["enc.lstm_b.U"],
-                      P["enc.lstm_b.b"], counts, reverse=True)
+    # input projections of the distinct tokens only, then one row per token
+    distinct, inv = np.unique(grid[rows, steps], return_inverse=True)
+    X = ad.gather_rows(P["enc.emb"], distinct)
+    XW = {d: ad.gather_rows(ad.matmul(X, P[f"enc.lstm_{d}.W"]), inv) for d in "fb"}
+    fwd = ad.lstm_seq(XW["f"], P["enc.lstm_f.U"], P["enc.lstm_f.b"], counts)
+    bwd = ad.lstm_seq(XW["b"], P["enc.lstm_b.U"], P["enc.lstm_b.b"], counts,
+                      reverse=True)
     states = ad.hstack([fwd, bwd])
     scores = ad.tanh(ad.add_bias(ad.matmul(states, P["enc.att.w"]), P["enc.att.b"]))
 

@@ -78,18 +78,23 @@ def macro_f1(preds, truths, classes) -> float:
     truths contributes F1 = 0 (pessimistic, deterministic)."""
     if len(truths) == 0:
         raise ValueError("macro_f1 needs non-empty sequences")
-    prf = per_class_prf(confusion(preds, truths, classes))
+    return _mean_f1(per_class_prf(confusion(preds, truths, classes)))
+
+
+def _mean_f1(prf: list[dict]) -> float:
     return sum(entry["f1"] for entry in prf) / len(prf)
 
 
 def score_labels(preds, truths, n_classes: int) -> dict:
-    classes = list(range(n_classes))
-    cm = confusion(preds, truths, classes)
+    """Accuracy, macro F1, per-class precision/recall/F1 and the
+    confusion matrix of labels 0..n_classes-1, from one count pass."""
+    cm = confusion(preds, truths, list(range(n_classes)))
+    prf = per_class_prf(cm)
     return {
         "n": len(truths),
         "accuracy": accuracy(preds, truths),
-        "macro_f1": macro_f1(preds, truths, classes),
-        "per_class": per_class_prf(cm),
+        "macro_f1": _mean_f1(prf),
+        "per_class": prf,
         "confusion": cm.tolist(),
     }
 
@@ -349,8 +354,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, cfg, _ = training.load_checkpoint(args.ckpt)
-    vocab = cp.load_vocab(args.vocab or args.ckpt + ".vocab")
+    params, cfg, vocab_size = training.load_checkpoint(args.ckpt)
+    vocab_path = args.vocab or args.ckpt + ".vocab"
+    vocab = cp.load_vocab(vocab_path)
+    if len(vocab) != vocab_size:
+        # a vocabulary of another size maps tokens to other embedding rows
+        raise ValueError(f"{vocab_path}: vocabulary size {len(vocab)} does not "
+                         f"match the checkpoint's vocab_size {vocab_size}")
     dialogues = cp.parse_corpus(args.corpus)
     if args.split != "all":
         dialogues = getattr(cp.split_corpus(dialogues, cfg.seed), args.split)

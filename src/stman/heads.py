@@ -3,7 +3,10 @@ the task discriminator that tries to tell the two feature streams apart.
 
 Every head reads a stream whole, as the (L*B, K) position-major matrix
 the interaction layer emits (row t*B + b is step t of dialogue b), and
-the per-utterance heads return one (L*B, C) distribution matrix.
+the per-utterance heads return one (L*B, C) distribution matrix. The
+discriminator applies one parameter set to both task streams, so it runs
+them as one interleaved recurrence (``interaction.interleave``) and
+returns both streams' distributions side by side.
 """
 
 from __future__ import annotations
@@ -79,10 +82,16 @@ def sa_decode(P: dict, H_a: ad.Node) -> ad.Node:
     return ad.softmax_rows(ad.add_bias(ad.matmul(H_a, P["sa.W"]), P["sa.b"]))
 
 
-def discriminate_steps(P: dict, X: ad.Node, B: int, L: int, K: int) -> ad.Node:
-    """GRU over one task-feature stream (position-major X), then a softmax
-    over the two task classes at every step: one (L*B, 2) node."""
-    H = ad.gru_seq(ad.matmul(X, interaction.gates(P, "td", "W")),
+def discriminate_steps(P: dict, X_m: ad.Node, X_a: ad.Node, B: int, L: int,
+                       K: int) -> ad.Node:
+    """The discriminator GRU over both task-feature streams (position-major
+    (L*B, K) each) as one interleaved recurrence, then a softmax over the
+    two task classes at every step of each. Returns one (L*B, 4) node: row
+    t*B + b holds stream m's two class probabilities, then stream a's."""
+    H = ad.gru_seq(ad.matmul(interaction.interleave([X_m, X_a]),
+                             interaction.gates(P, "td", "W")),
                    interaction.gates(P, "td", "U"),
-                   interaction.gates(P, "td", "b"), [B] * L)
-    return ad.softmax_rows(ad.add_bias(ad.matmul(H, P["td.W_o"]), P["td.b_o"]))
+                   interaction.gates(P, "td", "b"), [2 * B] * L)
+    probs = ad.softmax_rows(ad.add_bias(ad.matmul(H, P["td.W_o"]), P["td.b_o"]))
+    # interleaved rows 2r and 2r + 1 are row r of stream m and of stream a
+    return ad.reshape(probs, L * B, 2 * N_TASKS)

@@ -248,10 +248,12 @@ def task_loss(p_m: ad.Node, sat: np.ndarray, sa_probs, sent: np.ndarray,
     return ad.add(loss, _log_likelihood(sa_probs, -w_sa))
 
 
-def adv_loss(pk_m: ad.Node, pk_a: ad.Node, utt_valid: np.ndarray) -> ad.Node:
+def adv_loss(pk: ad.Node, utt_valid: np.ndarray) -> ad.Node:
     """Discriminator log-likelihood J: per dialogue, mean log-probability
     of the true origin over the 2L feature rows (L from each stream),
-    then batch-mean. Maximization ascends it, minimization descends it."""
+    then batch-mean. ``pk`` is the (L*B, 4) output of
+    ``heads.discriminate_steps``. Maximization ascends it, minimization
+    descends it."""
     B = utt_valid.shape[0]
     lengths = utt_valid.sum(axis=1, keepdims=True)
     w = _position_major(np.where(utt_valid, 1.0 / (2.0 * lengths * B), 0.0))
@@ -260,7 +262,7 @@ def adv_loss(pk_m: ad.Node, pk_a: ad.Node, utt_valid: np.ndarray) -> ad.Node:
     weights = np.zeros((w.size, 2 * heads.N_TASKS))
     weights[:, 0] = w
     weights[:, heads.N_TASKS + 1] = w
-    return _log_likelihood(ad.hstack([pk_m, pk_a]), weights)
+    return _log_likelihood(pk, weights)
 
 
 # ---------------------------------------------------------------- forwards
@@ -286,24 +288,22 @@ def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
 
 def forward_discriminator(P: dict, batch: cp.Batch, cfg: ModelConfig,
                           train_mode: bool = False, drop_rng=None):
-    """Encoder, both dense projections, and the discriminator over each
-    stream. Returns (pk_m, pk_a): each stream's (L*B, 2) position-major
-    origin distributions."""
+    """Encoder, both dense projections, and the discriminator over both
+    streams. Returns the (L*B, 4) position-major origin distributions:
+    stream m's two columns, then stream a's."""
     B, L, _ = batch.ids.shape
     rate = cfg.dropout if train_mode else 0.0
     V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, rate, drop_rng)
     X_m = interaction.project(P, V, "m")
     X_a = interaction.project(P, V, "a")
-    pk_m = heads.discriminate_steps(P, X_m, B, L, cfg.K)
-    pk_a = heads.discriminate_steps(P, X_a, B, L, cfg.K)
-    return pk_m, pk_a
+    return heads.discriminate_steps(P, X_m, X_a, B, L, cfg.K)
 
 
 def forward_adv(P: dict, batch: cp.Batch, cfg: ModelConfig,
                 train_mode: bool = False, drop_rng=None) -> ad.Node:
     """Adversarial objective J on one batch."""
-    pk_m, pk_a = forward_discriminator(P, batch, cfg, train_mode, drop_rng)
-    return adv_loss(pk_m, pk_a, batch.utt_valid)
+    pk = forward_discriminator(P, batch, cfg, train_mode, drop_rng)
+    return adv_loss(pk, batch.utt_valid)
 
 
 def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
@@ -313,12 +313,12 @@ def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
     correct = 0
     total = 0
     for batch in cp.batchify(dialogues, vocab, cfg.batch):
-        pk_m, pk_a = forward_discriminator(as_leaves(params), batch, cfg)
-        valid = _position_major(batch.utt_valid)
-        for cls, stream in ((0, pk_m), (1, pk_a)):
-            preds = np.argmax(stream.value, axis=1)
-            correct += int(np.sum((preds == cls) & valid))
-            total += int(np.sum(valid))
+        pk = forward_discriminator(as_leaves(params), batch, cfg).value
+        valid = _position_major(batch.utt_valid)[:, None]
+        # (row, stream) argmax classes; stream i's true class is i
+        preds = np.argmax(pk.reshape(-1, heads.N_TASKS, heads.N_TASKS), axis=2)
+        correct += int(np.sum((preds == np.arange(heads.N_TASKS)) & valid))
+        total += heads.N_TASKS * int(np.sum(valid))
     return correct / total
 
 

@@ -362,3 +362,56 @@ def test_batchify_chunking_preserves_order():
     assert [b.size for b in batches] == [4, 4, 2]
     flat = [did for b in batches for did in b.dialogue_ids]
     assert flat == [d.id for d in dialogues]
+
+
+def encode_batch_loop(chunk, vocab):
+    """The batch encoder written cell by cell, as a reference for the
+    vectorised one."""
+    B = len(chunk)
+    L = max(len(d.utterances) for d in chunk)
+    T = max(len(u.tokens) for d in chunk for u in d.utterances)
+    ids = np.full((B, L, T), cp.PAD_ID, dtype=np.intp)
+    tok_valid = np.zeros((B, L, T), dtype=bool)
+    utt_valid = np.zeros((B, L), dtype=bool)
+    is_user = np.zeros((B, L), dtype=bool)
+    turn = np.zeros((B, L), dtype=np.intp)
+    sent = np.zeros((B, L), dtype=np.intp)
+    sat = np.zeros(B, dtype=np.intp)
+    for b, d in enumerate(chunk):
+        flags = cp.relabel_speaker_turns(d.roles())
+        sat[b] = cp.SATISFACTIONS.index(d.satisfaction)
+        for t, u in enumerate(d.utterances):
+            utt_valid[b, t] = True
+            is_user[b, t] = u.speaker == "user"
+            turn[b, t] = flags[t]
+            sent[b, t] = cp.SENTIMENTS.index(u.sentiment)
+            for j, tok in enumerate(u.tokens):
+                ids[b, t, j] = vocab.id_of(tok)
+                tok_valid[b, t, j] = True
+    return cp.Batch(ids, tok_valid, utt_valid, is_user, turn, sent, sat,
+                    [d.id for d in chunk])
+
+
+# a small alphabet, so tokens repeat and some fall outside the vocabulary
+SMALL_UTTERANCES = st.builds(cp.Utterance, st.sampled_from(cp.SPEAKERS),
+                             st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6),
+                             st.sampled_from(cp.SENTIMENTS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(cp.SATISFACTIONS),
+                          st.lists(SMALL_UTTERANCES, min_size=1, max_size=5)),
+                min_size=1, max_size=7),
+       st.integers(1, 4), st.integers(1, 3))
+def test_batchify_equals_cell_by_cell_reference(records, batch_size, min_count):
+    dialogues = [cp.Dialogue(f"d{i}", sat, utts) for i, (sat, utts) in enumerate(records)]
+    vocab = cp.build_vocab(dialogues[: len(dialogues) // 2 + 1], min_count)
+    batches = cp.batchify(dialogues, vocab, batch_size)
+    chunks = [dialogues[i : i + batch_size] for i in range(0, len(dialogues), batch_size)]
+    assert len(batches) == len(chunks)
+    for got, chunk in zip(batches, chunks):
+        want = encode_batch_loop(chunk, vocab)
+        assert got.dialogue_ids == want.dialogue_ids
+        for name in ("ids", "tok_valid", "utt_valid", "is_user", "turn", "sent", "sat"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -210,3 +210,33 @@ def test_gradients_match_finite_differences():
             got = np.zeros_like(want)
         err = rel_err(got, want)
         assert err <= GRAD_TOL, f"{name}: rel err {err:.3g}"
+
+
+def test_repeated_token_gradients_match_finite_differences():
+    """Three dialogues over three distinct tokens (one appears nine
+    times): the embedding and input-weight gradients sum each distinct
+    token's contributions once, and must still match the numeric ones;
+    embedding rows the batch never reads get exactly zero gradient."""
+    params = make_params(9, 4, 3, seed=12)
+    ids, mask = grid_of([[[2, 2, 2, 3], [2, 3]],
+                         [[3, 2], [2, 2, 5, 2]],
+                         [[5]]], T=4)
+    weight = np.random.default_rng(13).normal(size=(2 * 3, 6))
+    names = ["enc.emb", "enc.lstm_f.W", "enc.lstm_b.W"]
+
+    def loss_value():
+        V = enc.encode_grid(as_leaves(params), ids, mask, E=3)
+        return float(np.sum(V.value * weight))
+
+    leaves = as_leaves(params)
+    with ad.Tape() as tape:
+        V = enc.encode_grid(leaves, ids, mask, E=3)
+        tape.backward(ad.sum_all(ad.hadamard(V, ad.constant(weight))))
+    numeric = numeric_grad(loss_value, [params[n] for n in names])
+    for name, want in zip(names, numeric):
+        err = rel_err(leaves[name].grad, want)
+        assert err <= GRAD_TOL, f"{name}: rel err {err:.3g}"
+    d_emb = leaves["enc.emb"].grad
+    unread = [i for i in range(9) if i not in (2, 3, 5)]
+    assert np.all(d_emb[unread] == 0.0)
+    assert np.all(np.any(d_emb[[2, 3, 5]] != 0.0, axis=1))

@@ -311,6 +311,28 @@ def test_cli_train_eval_roundtrip(tmp_path, capsys, monkeypatch):
                     "--split", "all"]) == 0
 
 
+def test_cli_eval_rejects_vocabulary_of_another_size(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STMAN_SEED", raising=False)
+    corpus = str(tmp_path / "c.jsonl")
+    ev.main(["gen-data", "--n", "20", "--q", "0.9", "--seed", "4", "--out", corpus])
+    ckpt = str(tmp_path / "model.json")
+    assert ev.main(["train", "--corpus", corpus, "--out", ckpt,
+                    "--config", write_tiny_cfg(tmp_path), "--variant", "basic"]) == 0
+    _, _, vocab_size = tr.load_checkpoint(ckpt)
+    grown = str(tmp_path / "grown.vocab")
+    with open(ckpt + ".vocab", encoding="utf-8") as fh:
+        text = fh.read()
+    with open(grown, "w", encoding="utf-8") as fh:
+        fh.write(text + f"zzz-extra\t{vocab_size}\n")
+    capsys.readouterr()
+    assert ev.main(["eval", "--ckpt", ckpt, "--corpus", corpus, "--vocab", grown]) == 1
+    err = capsys.readouterr().err
+    assert "grown.vocab" in err
+    assert f"{vocab_size + 1}" in err and f"vocab_size {vocab_size}" in err
+    # the vocabulary written beside the checkpoint still evaluates
+    assert ev.main(["eval", "--ckpt", ckpt, "--corpus", corpus]) == 0
+
+
 def test_cli_ablate_and_sweep_and_analyze(tmp_path, capsys):
     corpus = str(tmp_path / "c.jsonl")
     ev.main(["gen-data", "--n", "30", "--q", "0.9", "--seed", "3",

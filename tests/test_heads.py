@@ -7,6 +7,7 @@ import numpy as np
 
 import stman.autodiff as ad
 import stman.heads as hd
+import stman.interaction as it
 from oracles import GRAD_TOL, gru_shared_ref, numeric_grad, rel_err, softmax_list
 
 
@@ -32,9 +33,10 @@ def use_decode(P, H_m, roles, use_mask=True):
     return hd.use_decode_steps(P, H_m, keep, np.array([len(roles) - 1]))
 
 
-def discriminate(P, X, K):
-    """One dialogue: X is (L, K), one utterance per row."""
-    return hd.discriminate_steps(P, X, 1, X.value.shape[0], K)
+def discriminate(P, X_m, X_a, K):
+    """One dialogue: X_m and X_a are (L, K) streams, one utterance per
+    row. Returns the (L, 4) node, stream m's two columns first."""
+    return hd.discriminate_steps(P, X_m, X_a, 1, X_m.value.shape[0], K)
 
 
 def test_param_specs_gate_heads():
@@ -137,36 +139,64 @@ def test_sa_probabilities_match_brute_force():
 
 def test_discriminator_zero_params_sit_on_the_fence():
     P = {name: np.zeros(shape) for name, shape in hd.param_specs(3, 2, False, True)}
-    X = ad.constant(np.random.default_rng(17).normal(size=(4, 3)))
-    probs = discriminate(as_leaves(P), X, K=3)
-    assert probs.shape == (4, 2)
+    X_m, X_a = (ad.constant(x) for x in np.random.default_rng(17).normal(size=(2, 4, 3)))
+    probs = discriminate(as_leaves(P), X_m, X_a, K=3)
+    assert probs.shape == (4, 2 * hd.N_TASKS)
     assert np.max(np.abs(probs.value - 0.5)) <= 1e-15
 
 
 def test_discriminator_matches_scalar_gru_reference():
     K, L = 3, 4
     P = make_params(K, 2, use_aux=False, seed=18)
-    X = np.random.default_rng(19).normal(size=(L, K)) * 0.5
-    probs = discriminate(as_leaves(P), ad.constant(X), K=K)
-    h = np.zeros((1, K))
-    for t in range(L):
-        h = gru_shared_ref(X[t : t + 1], h, P, prefix="td")
-        want = softmax_list((h @ P["td.W_o"] + P["td.b_o"])[0])
-        assert np.max(np.abs(probs.value[t] - want)) <= 1e-12
-        assert abs(probs.value[t].sum() - 1.0) <= 1e-12
+    streams = np.random.default_rng(19).normal(size=(2, L, K)) * 0.5
+    probs = discriminate(as_leaves(P), *map(ad.constant, streams), K=K)
+    for s, X in enumerate(streams):
+        cols = slice(s * hd.N_TASKS, (s + 1) * hd.N_TASKS)
+        h = np.zeros((1, K))
+        for t in range(L):
+            h = gru_shared_ref(X[t : t + 1], h, P, prefix="td")
+            want = softmax_list((h @ P["td.W_o"] + P["td.b_o"])[0])
+            assert np.max(np.abs(probs.value[t, cols] - want)) <= 1e-12
+            assert abs(probs.value[t, cols].sum() - 1.0) <= 1e-12
 
 
 def test_discriminator_batch_rows_are_independent():
     K, L, B = 3, 2, 2
     P = make_params(K, 2, use_aux=False, seed=20)
     rng = np.random.default_rng(21)
-    X = rng.normal(size=(L * B, K))
-    probs = hd.discriminate_steps(as_leaves(P), ad.constant(X), B, L, K)
+    X_m, X_a = rng.normal(size=(2, L * B, K))
+    probs = hd.discriminate_steps(as_leaves(P), ad.constant(X_m), ad.constant(X_a),
+                                  B, L, K)
     for b in range(B):
-        Xb = np.vstack([X[t * B + b] for t in range(L)])
-        solo = discriminate(as_leaves(P), ad.constant(Xb), K=K)
+        solo = discriminate(as_leaves(P), ad.constant(X_m[b::B]),
+                            ad.constant(X_a[b::B]), K=K)
         for t in range(L):
             assert np.max(np.abs(probs.value[t * B + b] - solo.value[t])) <= 1e-12
+
+
+def test_stacked_discriminator_equals_two_per_stream_runs():
+    """The interleaved recurrence equals one GRU run per stream, and a
+    stream's rows read nothing of the other stream's inputs."""
+    K, L, B = 3, 4, 3
+    P = make_params(K, 2, use_aux=False, seed=26)
+    X_m, X_a, X_other = np.random.default_rng(27).normal(size=(3, L * B, K))
+    leaves = as_leaves(P)
+    probs = hd.discriminate_steps(leaves, ad.constant(X_m), ad.constant(X_a),
+                                  B, L, K).value
+    for s, X in enumerate((X_m, X_a)):
+        H = ad.gru_seq(ad.matmul(ad.constant(X), it.gates(leaves, "td", "W")),
+                       it.gates(leaves, "td", "U"), it.gates(leaves, "td", "b"),
+                       [B] * L)
+        want = ad.softmax_rows(ad.add_bias(ad.matmul(H, leaves["td.W_o"]),
+                                           leaves["td.b_o"])).value
+        cols = slice(s * hd.N_TASKS, (s + 1) * hd.N_TASKS)
+        assert np.max(np.abs(probs[:, cols] - want)) <= 1e-12
+    swapped_a = hd.discriminate_steps(leaves, ad.constant(X_m), ad.constant(X_other),
+                                      B, L, K).value
+    swapped_m = hd.discriminate_steps(leaves, ad.constant(X_other), ad.constant(X_a),
+                                      B, L, K).value
+    assert np.array_equal(swapped_a[:, : hd.N_TASKS], probs[:, : hd.N_TASKS])
+    assert np.array_equal(swapped_m[:, hd.N_TASKS :], probs[:, hd.N_TASKS :])
 
 
 def test_use_gradients_match_finite_differences():
@@ -202,14 +232,15 @@ def test_use_gradients_match_finite_differences():
 def test_discriminator_gradients_match_finite_differences():
     K, L = 3, 3
     P = make_params(K, 2, use_aux=False, use_td=True, seed=24)
-    X = np.random.default_rng(25).normal(size=(L, K)) * 0.5
-    class_0 = np.zeros((L, hd.N_TASKS))
-    class_0[:, 0] = 1.0
+    X_m, X_a = np.random.default_rng(25).normal(size=(2, L, K)) * 0.5
+    own_class = np.zeros((L, 2 * hd.N_TASKS))
+    own_class[:, 0] = 1.0
+    own_class[:, hd.N_TASKS + 1] = 1.0
 
     def build(leaves):
-        # log-likelihood of class 0 at every step
-        probs = discriminate(leaves, ad.constant(X), K=K)
-        return ad.sum_all(ad.hadamard(ad.log_clamped(probs), ad.constant(class_0)))
+        # log-likelihood of each stream's own class at every step
+        probs = discriminate(leaves, ad.constant(X_m), ad.constant(X_a), K=K)
+        return ad.sum_all(ad.hadamard(ad.log_clamped(probs), ad.constant(own_class)))
 
     names = sorted(n for n in P if n.startswith("td."))
     leaves = as_leaves(P)

@@ -197,6 +197,30 @@ def test_run_interaction_matches_dialogue_oracle():
             assert np.max(np.abs(H.value[t] - h_k)) <= 1e-10, (prefix, t)
 
 
+def test_stacked_shared_gru_equals_two_per_stream_runs():
+    """The shared GRU runs both streams as one interleaved recurrence:
+    each stream's states equal its own shared run followed by its private
+    GRU, with one stream or two, and no stream reads the other's inputs."""
+    E, K, Z, L, B = 2, 3, 2, 3, 2
+    P = make_params(E, K, Z, use_st=False, seed=25)
+    V = np.random.default_rng(26).normal(size=(L * B, 2 * E))
+    turn = np.zeros((B, L), dtype=int)
+    (H_m, H_a), leaves = run_toy(P, V, turn, B, L, K, use_st=False, use_aux=True)
+    for task, H in (("m", H_m), ("a", H_a)):
+        X = it.project(leaves, ad.constant(V), task).value
+        want = task_gru(P, task, X, shared_gru(P, X, B, L), B, L)
+        assert np.max(np.abs(H.value - want)) <= 1e-12
+    (H_solo, no_a), _ = run_toy(P, V, turn, B, L, K, use_st=False, use_aux=False)
+    assert no_a is None
+    assert np.max(np.abs(H_solo.value - H_m.value)) <= 1e-12
+    for task in ("m", "a"):
+        # move one stream's inputs; only that stream's states may change
+        shifted = dict(P, **{f"proj.{task}.W": P[f"proj.{task}.W"] + 0.5})
+        (Hm2, Ha2), _ = run_toy(shifted, V, turn, B, L, K, use_st=False, use_aux=True)
+        assert np.array_equal(Hm2.value, H_m.value) == (task == "a")
+        assert np.array_equal(Ha2.value, H_a.value) == (task == "m")
+
+
 def test_batches_are_independent():
     E, K, Z, L, B = 2, 3, 2, 2, 2
     P = make_params(E, K, Z, seed=13)

@@ -210,25 +210,24 @@ def test_task_loss_ignores_padded_sentiment_rows():
 
 
 def test_adv_loss_perfect_discrimination_is_zero():
-    pk_m = constant_probs([[1.0, 0.0], [1.0, 0.0]])
-    pk_a = constant_probs([[0.0, 1.0], [0.0, 1.0]])
-    j = tr.adv_loss(pk_m, pk_a, np.ones((1, 2), dtype=bool))
+    pk = constant_probs([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
+    j = tr.adv_loss(pk, np.ones((1, 2), dtype=bool))
     assert abs(j.value[0, 0]) <= 1e-12
 
 
 def test_adv_loss_coin_flip_is_minus_log2():
-    pk = constant_probs([[0.5, 0.5]])
-    j = tr.adv_loss(pk, pk, np.ones((1, 1), dtype=bool))
+    pk = constant_probs([[0.5, 0.5, 0.5, 0.5]])
+    j = tr.adv_loss(pk, np.ones((1, 1), dtype=bool))
     assert j.value[0, 0] == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_adv_loss_mixed_fixture_and_padding():
-    pk_m = constant_probs([[0.9, 0.1], [0.8, 0.2]])
-    pk_a = constant_probs([[0.3, 0.7], [0.4, 0.6]])
-    j = tr.adv_loss(pk_m, pk_a, np.ones((1, 2), dtype=bool))
+    # each row: stream m's two classes, then stream a's
+    pk = constant_probs([[0.9, 0.1, 0.3, 0.7], [0.8, 0.2, 0.4, 0.6]])
+    j = tr.adv_loss(pk, np.ones((1, 2), dtype=bool))
     want = (math.log(0.9) + math.log(0.8) + math.log(0.7) + math.log(0.6)) / 4.0
     assert j.value[0, 0] == pytest.approx(want, abs=1e-12)
-    j_pad = tr.adv_loss(pk_m, pk_a, np.array([[True, False]]))
+    j_pad = tr.adv_loss(pk, np.array([[True, False]]))
     want_pad = (math.log(0.9) + math.log(0.7)) / 2.0
     assert j_pad.value[0, 0] == pytest.approx(want_pad, abs=1e-12)
 
