@@ -377,8 +377,10 @@ def log_clamped(x: Node, eps: float = LOG_EPS) -> Node:
     return out
 
 
-def gather_rows(table: Node, ids) -> Node:
-    """Select rows of ``table`` by integer index; backward scatter-adds."""
+def gather_rows(table: Node, ids, order=None) -> Node:
+    """Select rows of ``table`` by integer index; backward scatter-adds.
+    ``order``, if given, is ``np.argsort(ids, kind="stable")``, for a
+    caller that gathers by the same ids more than once."""
     idx = np.asarray(ids, dtype=np.intp).reshape(-1)
     if idx.size < 1:
         raise ShapeError("gather_rows: needs at least one index")
@@ -399,7 +401,10 @@ def gather_rows(table: Node, ids) -> Node:
     elif rec:
         # segment sum: the gradient rows of each index, grouped by a
         # stable sort, reduce to one row per distinct index
-        order = np.argsort(idx, kind="stable")
+        if order is None:
+            order = np.argsort(idx, kind="stable")
+        elif len(order) != idx.size:
+            raise ShapeError("gather_rows: order must be one position per index")
         sorted_idx = idx[order]
         starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
         rows = sorted_idx[starts]
@@ -407,7 +412,11 @@ def gather_rows(table: Node, ids) -> Node:
         def rule():
             if table.grad is None:
                 table.grad = np.zeros_like(table.value)
-            table.grad[rows] += np.add.reduceat(out.grad[order], starts, axis=0)
+            if rows.size == idx.size:
+                # no index repeats, so no sum to take
+                table.grad[idx] += out.grad
+            else:
+                table.grad[rows] += np.add.reduceat(out.grad[order], starts, axis=0)
 
         out.backward_rule = rule
     return out

@@ -10,10 +10,13 @@ grid order), and their tokens packed step-major: step j holds the rows
 still running at j, a prefix of the sorted rows. Each LSTM direction is
 one ``ad.lstm_seq`` node over that packing; the backward direction
 enters each utterance at its last real token from the zero state. The
-input projections are made once per distinct token of the batch (a
-batch repeats a small vocabulary many times) and then gathered to one
-row per token, so the embedding gradient and the input-weight gradients
-are sums over distinct tokens rather than over every token.
+input projections are made once per distinct token of the batch and
+then gathered to one row per token, so the embedding gradient and the
+input-weight gradients are sums over distinct tokens rather than over
+every token. This pays on batches that repeat tokens (a synthetic batch
+holds about 40 distinct ids among 1400-1800 tokens); on a batch without
+repeats it costs a sort and two row gathers more than projecting every
+token.
 Attention pools each sorted row over its real tokens, and the pooled
 rows go back to their grid rows. An all-pad row comes out exactly zero
 and is flagged for downstream exclusion.
@@ -87,8 +90,10 @@ def _encode_sorted(P: dict, grid: np.ndarray, mask: np.ndarray, E: int) -> ad.No
     counts = np.bincount(steps)
     # input projections of the distinct tokens only, then one row per token
     distinct, inv = np.unique(grid[rows, steps], return_inverse=True)
+    order = np.argsort(inv, kind="stable")
     X = ad.gather_rows(P["enc.emb"], distinct)
-    XW = {d: ad.gather_rows(ad.matmul(X, P[f"enc.lstm_{d}.W"]), inv) for d in "fb"}
+    XW = {d: ad.gather_rows(ad.matmul(X, P[f"enc.lstm_{d}.W"]), inv, order)
+          for d in "fb"}
     fwd = ad.lstm_seq(XW["f"], P["enc.lstm_f.U"], P["enc.lstm_f.b"], counts)
     bwd = ad.lstm_seq(XW["b"], P["enc.lstm_b.U"], P["enc.lstm_b.b"], counts,
                       reverse=True)

@@ -5,7 +5,7 @@ Every head reads a stream whole, as the (L*B, K) position-major matrix
 the interaction layer emits (row t*B + b is step t of dialogue b), and
 the per-utterance heads return one (L*B, C) distribution matrix. The
 discriminator applies one parameter set to both task streams, so it runs
-them as one interleaved recurrence (``interaction.interleave``) and
+them as one recurrence over the two streams' rows interleaved, and
 returns both streams' distributions side by side.
 """
 
@@ -88,10 +88,11 @@ def discriminate_steps(P: dict, X_m: ad.Node, X_a: ad.Node, B: int, L: int,
     (L*B, K) each) as one interleaved recurrence, then a softmax over the
     two task classes at every step of each. Returns one (L*B, 4) node: row
     t*B + b holds stream m's two class probabilities, then stream a's."""
-    H = ad.gru_seq(ad.matmul(interaction.interleave([X_m, X_a]),
-                             interaction.gates(P, "td", "W")),
+    # row 2r + i is row r of stream i, so step t is the 2B rows from 2tB
+    X = ad.reshape(ad.hstack([X_m, X_a]), 2 * L * B, K)
+    H = ad.gru_seq(ad.matmul(X, interaction.gates(P, "td", "W")),
                    interaction.gates(P, "td", "U"),
                    interaction.gates(P, "td", "b"), [2 * B] * L)
     probs = ad.softmax_rows(ad.add_bias(ad.matmul(H, P["td.W_o"]), P["td.b_o"]))
-    # interleaved rows 2r and 2r + 1 are row r of stream m and of stream a
+    # rows 2r and 2r + 1 side by side are row r of stream m and of stream a
     return ad.reshape(probs, L * B, 2 * N_TASKS)

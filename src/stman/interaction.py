@@ -8,17 +8,13 @@ one contiguous row block. Recurrences run over trailing padding (pad
 steps compute garbage states) but masks exclude those rows from every
 downstream loss, and causality keeps real steps clean.
 
-Every GRU is one ``ad.gru_seq`` node over all L steps, with its input
-projections for every step made in one matmul beforehand: ``X W`` for
-the shared GRU, ``X_aug W + H_s U^s`` for a private one, whose bias is a
-zero constant. The shared GRU applies one parameter set to every task
-stream, so it runs them all as one recurrence: ``interleave`` stacks the
-streams row by row, each step is then S*B rows (S streams), and each
-stream's shared states are read back as every S-th row. Each private GRU
-runs over its own stream with dense step counts ``[B] * L``. The r|z|h
-gate blocks are concatenated at run time from the separately named
-parameters, so the checkpoint format is the one of a per-gate model. The
-heads read each stream's fused (L*B, K) output whole.
+Each GRU of a stream is one ``ad.gru_seq`` node over all L steps (dense
+step counts ``[B] * L``), with its input projections for every step made
+in one matmul beforehand: ``X W`` for the shared GRU, ``X_aug W + H_s U^s``
+for a private one, whose bias is a zero constant. The r|z|h gate blocks
+are concatenated at run time from the separately named parameters, so
+the checkpoint format is the one of a per-gate model. The heads read
+each stream's fused (L*B, K) output whole.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ __all__ = [
     "param_specs",
     "project",
     "gates",
-    "interleave",
     "run_interaction",
 ]
 
@@ -74,26 +69,22 @@ def gates(P: dict, prefix: str, part: str) -> ad.Node:
     return ad.hstack([P[f"{prefix}.{part}_{g}"] for g in _GATES])
 
 
-def interleave(streams) -> ad.Node:
-    """S position-major (L*B, K) streams as one (S*L*B, K) matrix whose
-    row S*r + i is row r of stream i. Step t of every stream is then the
-    one contiguous block of S*B rows from S*t*B, so one recurrence with
-    step counts ``[S*B] * L`` runs all the streams side by side."""
-    R, K = streams[0].shape
-    return ad.reshape(ad.hstack(streams), len(streams) * R, K)
-
-
-def _private_stream(P: dict, task: str, X: ad.Node, C, H_s: ad.Node, B: int,
-                    L: int, K: int) -> ad.Node:
-    """The task-private GRU over one stream: its input projection reads
-    the stream's X (with the turn embeddings C on, if given) and, through
-    U^s, the same-step shared state H_s. Returns the (L*B, K) states."""
+def _task_stream(P: dict, task: str, X: ad.Node, C, shared, B: int,
+                 L: int, K: int) -> ad.Node:
+    """One task's pass: shared-state sequence from this task's X using the
+    single shared parameter set (``shared`` = its W, U, b gate blocks),
+    then the private variant on top, whose input projection also reads
+    the same-step shared state through U^s. Every step at once; returns
+    the (L*B, K) private states."""
+    counts = [B] * L
+    W_s, U_s, b_s = shared
+    H_s = ad.gru_seq(ad.matmul(X, W_s), U_s, b_s, counts)
     pre = f"gru_{task}"
     X_aug = X if C is None else ad.hstack([X, C])
     XW = ad.add(ad.matmul(X_aug, gates(P, pre, "W")),
                 ad.matmul(H_s, gates(P, pre, "Us")))
     return ad.gru_seq(XW, gates(P, pre, "U"), ad.constant(np.zeros((1, 3 * K))),
-                      [B] * L)
+                      counts)
 
 
 def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, B: int, L: int,
@@ -103,16 +94,13 @@ def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, B: int, L: int,
     Returns (H_m, H_a): the private hidden states of each task stream,
     (L*B, K) position-major nodes; H_a is None without the SA stream.
     """
-    tasks = ("m", "a") if use_aux else ("m",)
-    S = len(tasks)
-    X = [project(P, V, task) for task in tasks]
+    X_m = project(P, V, "m")
+    X_a = project(P, V, "a") if use_aux else None
 
     # turn embeddings of every step, position-major like V
     C = ad.gather_rows(P["turn.emb"], turn.T.reshape(-1)) if use_st else None
-    # the one shared parameter set runs every stream in one recurrence
-    H_s = ad.gru_seq(ad.matmul(interleave(X), gates(P, "gru_s", "W")),
-                     gates(P, "gru_s", "U"), gates(P, "gru_s", "b"), [S * B] * L)
-    H = [_private_stream(P, task, X[i], C,
-                         ad.gather_rows(H_s, np.arange(i, S * L * B, S)), B, L, K)
-         for i, task in enumerate(tasks)]
-    return H[0], (H[1] if use_aux else None)
+    shared = tuple(gates(P, "gru_s", part) for part in ("W", "U", "b"))
+
+    H_m = _task_stream(P, "m", X_m, C, shared, B, L, K)
+    H_a = _task_stream(P, "a", X_a, C, shared, B, L, K) if use_aux else None
+    return H_m, H_a

@@ -294,6 +294,40 @@ def test_gather_rows_scatter_adds_repeated_indices(width):
     assert np.all(table.grad[[3, 5]] == 0.0)
 
 
+def test_gather_rows_without_repeats_scatters_each_row_once():
+    rng = np.random.default_rng(20)
+    table = ad.leaf(rng.normal(size=(7, 3)))
+    ids = np.array([5, 0, 3, 6, 1])
+    g = rng.normal(size=(ids.size, 3))
+    with ad.Tape() as tape:
+        tape.backward(ad.sum_all(ad.hadamard(ad.gather_rows(table, ids), ad.constant(g))))
+    want = np.zeros((7, 3))
+    want[ids] = g
+    assert np.array_equal(table.grad, want)
+
+
+def test_gather_rows_with_a_given_order_equals_its_own_sort():
+    """A caller's precomputed stable argsort of the ids gives the same
+    values and bitwise the same gradient; one of another length is
+    rejected."""
+    rng = np.random.default_rng(19)
+    ids = np.array([4, 1, 4, 0, 4, 1, 2, 4, 0])
+    g = rng.normal(size=(ids.size, 3))
+    table_value = rng.normal(size=(6, 3))
+    grads = []
+    for order in (None, np.argsort(ids, kind="stable")):
+        table = ad.leaf(table_value)
+        with ad.Tape() as tape:
+            out = ad.gather_rows(table, ids, order)
+            tape.backward(ad.sum_all(ad.hadamard(out, ad.constant(g))))
+        assert np.array_equal(out.value, table_value[ids])
+        grads.append(table.grad)
+    assert np.array_equal(grads[0], grads[1])
+    with ad.Tape():
+        with pytest.raises(ad.ShapeError, match="order"):
+            ad.gather_rows(ad.leaf(table_value), ids, np.arange(ids.size - 1))
+
+
 def test_untracked_ops_outside_tape_have_no_rule():
     out = ad.matmul(ad.leaf([[1.0]]), ad.leaf([[2.0]]))
     assert out.backward_rule is None and not out.requires_grad

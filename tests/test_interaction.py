@@ -197,10 +197,10 @@ def test_run_interaction_matches_dialogue_oracle():
             assert np.max(np.abs(H.value[t] - h_k)) <= 1e-10, (prefix, t)
 
 
-def test_stacked_shared_gru_equals_two_per_stream_runs():
-    """The shared GRU runs both streams as one interleaved recurrence:
-    each stream's states equal its own shared run followed by its private
-    GRU, with one stream or two, and no stream reads the other's inputs."""
+def test_each_stream_equals_its_own_shared_and_private_runs():
+    """Each stream's states equal the shared GRU run over that stream
+    followed by its private GRU, with one stream or two, and no stream
+    reads the other's inputs."""
     E, K, Z, L, B = 2, 3, 2, 3, 2
     P = make_params(E, K, Z, use_st=False, seed=25)
     V = np.random.default_rng(26).normal(size=(L * B, 2 * E))
