@@ -251,7 +251,12 @@ def softmax_rows(x: Node) -> Node:
     # max-subtraction per row for stability
     shifted = x.value - x.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    return _softmax_node(e / e.sum(axis=1, keepdims=True), x)
+
+
+def _softmax_node(y: np.ndarray, x: Node) -> Node:
+    """Record row-softmax values ``y`` of ``x`` with the softmax backward,
+    which gives masked (zero) positions zero gradient."""
     out, rec = _record(y, (x,))
     if rec:
 
@@ -282,17 +287,8 @@ def masked_softmax(scores: Node, keep) -> Node:
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
     e = np.where(k, np.exp(np.where(k, x - rowmax, 0.0)), 0.0)
     denom = e.sum(axis=1, keepdims=True)
-    y = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0)
-    out, rec = _record(y, (scores,))
-    if rec:
-
-        def rule():
-            g = out.grad
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _acc(scores, y * (g - dot))
-
-        out.backward_rule = rule
-    return out
+    return _softmax_node(np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0),
+                         scores)
 
 
 def hstack(parts: Sequence[Node]) -> Node:
@@ -377,46 +373,23 @@ def log_clamped(x: Node, eps: float = LOG_EPS) -> Node:
     return out
 
 
-def gather_rows(table: Node, ids, order=None) -> Node:
-    """Select rows of ``table`` by integer index; backward scatter-adds.
-    ``order``, if given, is ``np.argsort(ids, kind="stable")``, for a
-    caller that gathers by the same ids more than once."""
+def gather_rows(table: Node, ids) -> Node:
+    """Select rows of ``table`` by integer index. The backward is one
+    ``np.bincount`` scatter-add over the flat (row, column) cells, which
+    sums in index order, so bitwise as ``np.add.at`` into a zero table."""
     idx = np.asarray(ids, dtype=np.intp).reshape(-1)
     if idx.size < 1:
         raise ShapeError("gather_rows: needs at least one index")
-    if idx.min() < 0 or idx.max() >= table.value.shape[0]:
-        raise ShapeError(
-            f"gather_rows: index out of range for table with {table.value.shape[0]} rows"
-        )
+    n, w = table.value.shape
+    if idx.min() < 0 or idx.max() >= n:
+        raise ShapeError(f"gather_rows: index out of range for table with {n} rows")
     out, rec = _record(table.value[idx], (table,))
-    if rec and table.value.shape[1] == 1:
-        # on one column np.add.at beats the sort below
+    if rec:
 
         def rule():
-            if table.grad is None:
-                table.grad = np.zeros_like(table.value)
-            np.add.at(table.grad, idx, out.grad)
-
-        out.backward_rule = rule
-    elif rec:
-        # segment sum: the gradient rows of each index, grouped by a
-        # stable sort, reduce to one row per distinct index
-        if order is None:
-            order = np.argsort(idx, kind="stable")
-        elif len(order) != idx.size:
-            raise ShapeError("gather_rows: order must be one position per index")
-        sorted_idx = idx[order]
-        starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-        rows = sorted_idx[starts]
-
-        def rule():
-            if table.grad is None:
-                table.grad = np.zeros_like(table.value)
-            if rows.size == idx.size:
-                # no index repeats, so no sum to take
-                table.grad[idx] += out.grad
-            else:
-                table.grad[rows] += np.add.reduceat(out.grad[order], starts, axis=0)
+            cells = (idx[:, None] * w + np.arange(w)).ravel()
+            _acc(table, np.bincount(cells, weights=out.grad.ravel(),
+                                    minlength=n * w).reshape(n, w))
 
         out.backward_rule = rule
     return out

@@ -253,6 +253,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 def load_vocab(path) -> Vocabulary:
     mapping = {}
     first_line = {}
+    id_line = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -266,9 +267,17 @@ def load_vocab(path) -> Vocabulary:
                                          f"(first on line {first_line[tok]})")
             first_line[tok] = lineno
             try:
-                mapping[tok] = int(ids)
+                i = int(ids)
             except ValueError as exc:
                 raise ParseError(lineno, f"bad id {ids!r}") from exc
+            if i < 2:
+                raise ParseError(lineno, f"id {i} for {tok!r} collides with a "
+                                         f"reserved id (UNK={UNK_ID}, PAD={PAD_ID})")
+            if i in id_line:
+                raise ParseError(lineno, f"duplicate id {i} for {tok!r} "
+                                         f"(first on line {id_line[i]})")
+            id_line[i] = lineno
+            mapping[tok] = i
     return Vocabulary(mapping)
 
 

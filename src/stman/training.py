@@ -508,8 +508,17 @@ def load_checkpoint(path):
     must be a finite number; an error names the parameter or field."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
+    for key in ("config", "vocab_size", "params"):
+        if key not in payload:
+            raise ValueError(f"checkpoint has no {key!r} field")
+    for key in ("config", "params"):
+        if not isinstance(payload[key], dict):
+            raise ValueError(f"{key} must be a JSON object, "
+                             f"got {type(payload[key]).__name__}")
     known = {f.name for f in fields(ModelConfig)}
     cfg = ModelConfig(**{k: v for k, v in payload["config"].items() if k in known})
     cfg.validate()
@@ -525,7 +534,9 @@ def load_checkpoint(path):
     params = {}
     for name, spec in expected.items():
         entry = got[name]
-        if tuple(entry["shape"]) != spec:
+        if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
+            raise ValueError(f"{name}: entry must be an object with 'shape' and 'values'")
+        if entry["shape"] != list(spec):
             raise ValueError(f"{name}: shape {entry['shape']} != expected {list(spec)}")
         size = spec[0] * spec[1]
         try:

@@ -278,20 +278,32 @@ def test_dropout_contracts():
         ad.dropout(x, 1.0, rng)
 
 
-@pytest.mark.parametrize("width", [1, 4], ids=["one-column", "wide"])
-def test_gather_rows_scatter_adds_repeated_indices(width):
+@pytest.mark.parametrize("width, ids, second", [
+    (1, [4, 1, 4, 0, 4, 1, 2, 4, 0], None),
+    (4, [4, 1, 4, 0, 4, 1, 2, 4, 0], None),
+    (3, [5, 0, 3, 1], None),
+    (4, [4, 1, 4, 0, 4, 1, 2, 4, 0], [1, 0, 1, 5]),
+], ids=["one-column", "wide", "no-repeat", "second-gather"])
+def test_gather_rows_scatter_adds_repeated_indices(width, ids, second):
     """Backward sums every gathered row's gradient into its table row,
-    as np.add.at does; rows never gathered stay zero."""
+    bitwise as np.add.at does into a zero table; a second gather from the
+    same table adds its own scatter-add. Rows never gathered stay zero."""
     rng = np.random.default_rng(18)
     table = ad.leaf(rng.normal(size=(6, width)))
-    ids = np.array([4, 1, 4, 0, 4, 1, 2, 4, 0])
-    g = rng.normal(size=(ids.size, width))
+    gathers = [np.array(i) for i in (ids, second) if i is not None]
+    gs = [rng.normal(size=(i.size, width)) for i in gathers]
     with ad.Tape() as tape:
-        tape.backward(ad.sum_all(ad.hadamard(ad.gather_rows(table, ids), ad.constant(g))))
+        tape.backward(ad.sum_all(ad.hstack([
+            ad.sum_all(ad.hadamard(ad.gather_rows(table, i), ad.constant(g)))
+            for i, g in zip(gathers, gs)])))
     want = np.zeros((6, width))
-    np.add.at(want, ids, g)
-    assert np.max(np.abs(table.grad - want)) <= 1e-12
-    assert np.all(table.grad[[3, 5]] == 0.0)
+    for i, g in zip(gathers, gs):
+        part = np.zeros((6, width))
+        np.add.at(part, i, g)
+        want = want + part
+    assert np.array_equal(table.grad, want)
+    never = np.setdiff1d(np.arange(6), np.concatenate(gathers))
+    assert never.size > 0 and np.all(table.grad[never] == 0.0)
 
 
 def test_gather_rows_without_repeats_scatters_each_row_once():
@@ -304,28 +316,6 @@ def test_gather_rows_without_repeats_scatters_each_row_once():
     want = np.zeros((7, 3))
     want[ids] = g
     assert np.array_equal(table.grad, want)
-
-
-def test_gather_rows_with_a_given_order_equals_its_own_sort():
-    """A caller's precomputed stable argsort of the ids gives the same
-    values and bitwise the same gradient; one of another length is
-    rejected."""
-    rng = np.random.default_rng(19)
-    ids = np.array([4, 1, 4, 0, 4, 1, 2, 4, 0])
-    g = rng.normal(size=(ids.size, 3))
-    table_value = rng.normal(size=(6, 3))
-    grads = []
-    for order in (None, np.argsort(ids, kind="stable")):
-        table = ad.leaf(table_value)
-        with ad.Tape() as tape:
-            out = ad.gather_rows(table, ids, order)
-            tape.backward(ad.sum_all(ad.hadamard(out, ad.constant(g))))
-        assert np.array_equal(out.value, table_value[ids])
-        grads.append(table.grad)
-    assert np.array_equal(grads[0], grads[1])
-    with ad.Tape():
-        with pytest.raises(ad.ShapeError, match="order"):
-            ad.gather_rows(ad.leaf(table_value), ids, np.arange(ids.size - 1))
 
 
 def test_untracked_ops_outside_tape_have_no_rule():

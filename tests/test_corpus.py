@@ -218,6 +218,20 @@ def test_load_vocab_rejects_repeated_token_naming_both_lines(tmp_path):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("a\t2\nb\t0\n", 2, r"line 2: id 0 for 'b' collides with a reserved id"),
+    ("a\t2\nb\t1\n", 2, r"line 2: id 1 for 'b' collides with a reserved id"),
+    ("a\t-3\n", 1, r"line 1: id -3 for 'a' collides with a reserved id"),
+    ("a\t2\n\nc\t3\nb\t2\n", 4, r"line 4: duplicate id 2 for 'b' \(first on line 1\)"),
+], ids=["unk", "pad", "negative", "repeated-id"])
+def test_load_vocab_rejects_bad_id_naming_the_line(tmp_path, text, line, message):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(cp.ParseError, match=message) as exc:
+        cp.load_vocab(path)
+    assert exc.value.line == line
+
+
 # --------------------------------------------------------------- generator
 
 

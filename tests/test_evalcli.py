@@ -333,6 +333,22 @@ def test_cli_eval_rejects_vocabulary_of_another_size(tmp_path, capsys, monkeypat
     assert ev.main(["eval", "--ckpt", ckpt, "--corpus", corpus]) == 0
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"format": tr.CHECKPOINT_FORMAT}, "'config'"),
+    (["not", "an", "object"], "JSON object"),
+], ids=["format-only", "list"])
+def test_cli_eval_reports_malformed_checkpoint_as_error(tmp_path, capsys, payload, field):
+    corpus = str(tmp_path / "c.jsonl")
+    ev.main(["gen-data", "--n", "10", "--q", "0.9", "--seed", "4", "--out", corpus])
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert ev.main(["eval", "--ckpt", str(ckpt), "--corpus", corpus]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_cli_ablate_and_sweep_and_analyze(tmp_path, capsys):
     corpus = str(tmp_path / "c.jsonl")
     ev.main(["gen-data", "--n", "30", "--q", "0.9", "--seed", "3",

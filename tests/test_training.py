@@ -668,6 +668,22 @@ def _set_vocab_size(value):
     return doctor
 
 
+def _drop(*keys):
+    def doctor(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        del payload[keys[-1]]
+    return doctor
+
+
+def _set(*keys, value):
+    def doctor(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        payload[keys[-1]] = value
+    return doctor
+
+
 @pytest.mark.parametrize("doctor, names", [
     # the JSON file carries these as NaN, Infinity and -Infinity
     pytest.param(_set_first_value(math.nan), "^sa.W: non-finite", id="nan"),
@@ -682,6 +698,26 @@ def _set_vocab_size(value):
     pytest.param(_set_vocab_size(0), "^vocab_size must be", id="vocab-zero"),
     pytest.param(_set_vocab_size(True), "^vocab_size must be", id="vocab-bool"),
     pytest.param(_set_vocab_size("7"), "^vocab_size must be", id="vocab-string"),
+    # a doctor that returns a value replaces the whole payload
+    pytest.param(lambda payload: [payload], "^checkpoint must be a JSON object, got list",
+                 id="payload-list"),
+    pytest.param(lambda payload: {"format": payload["format"]},
+                 "^checkpoint has no 'config' field", id="format-only"),
+    pytest.param(_drop("vocab_size"), "^checkpoint has no 'vocab_size' field",
+                 id="no-vocab-size"),
+    pytest.param(_drop("params"), "^checkpoint has no 'params' field", id="no-params"),
+    pytest.param(_set("config", value=[1]), "^config must be a JSON object, got list",
+                 id="config-list"),
+    pytest.param(_set("params", value="sa.W"), "^params must be a JSON object, got str",
+                 id="params-string"),
+    pytest.param(_drop("params", "sa.W", "shape"),
+                 "^sa.W: entry must be an object with 'shape' and 'values'", id="no-shape"),
+    pytest.param(_drop("params", "sa.W", "values"),
+                 "^sa.W: entry must be an object with 'shape' and 'values'", id="no-values"),
+    pytest.param(_set("params", "sa.W", value=[0.5]),
+                 "^sa.W: entry must be an object", id="entry-list"),
+    pytest.param(_set("params", "sa.W", "shape", value=7), r"^sa.W: shape 7 != expected",
+                 id="shape-int"),
 ])
 def test_checkpoint_rejects_doctored_values(tmp_path, doctor, names):
     dialogues = toy_dialogues()
@@ -690,7 +726,7 @@ def test_checkpoint_rejects_doctored_values(tmp_path, doctor, names):
     path = tmp_path / "model.json"
     tr.save_checkpoint(path, tr.init_params(cfg, len(vocab)), cfg, len(vocab))
     payload = json.loads(path.read_text())
-    doctor(payload)
-    path.write_text(json.dumps(payload))
+    replaced = doctor(payload)
+    path.write_text(json.dumps(payload if replaced is None else replaced))
     with pytest.raises(ValueError, match=names):
         tr.load_checkpoint(path)
