@@ -29,24 +29,17 @@ __all__ = [
     "add",
     "hadamard",
     "tanh",
-    "softmax_rows",
     "masked_softmax",
+    "log_softmax_sum",
     "hstack",
     "add_bias",
     "scale_columns",
-    "sum_all",
-    "log_clamped",
     "gather_rows",
     "reshape",
     "packed_sum",
     "lstm_seq",
     "gru_seq",
-    "dropout",
-    "LOG_EPS",
 ]
-
-# Clamp for log arguments; keeps cross-entropy finite on collapsed softmax rows.
-LOG_EPS = 1e-12
 
 
 class ShapeError(ValueError):
@@ -247,28 +240,6 @@ def tanh(x: Node) -> Node:
     return out
 
 
-def softmax_rows(x: Node) -> Node:
-    # max-subtraction per row for stability
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return _softmax_node(e / e.sum(axis=1, keepdims=True), x)
-
-
-def _softmax_node(y: np.ndarray, x: Node) -> Node:
-    """Record row-softmax values ``y`` of ``x`` with the softmax backward,
-    which gives masked (zero) positions zero gradient."""
-    out, rec = _record(y, (x,))
-    if rec:
-
-        def rule():
-            g = out.grad
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _acc(x, y * (g - dot))
-
-        out.backward_rule = rule
-    return out
-
-
 def masked_softmax(scores: Node, keep) -> Node:
     """Softmax over rows restricted to ``keep`` positions.
 
@@ -287,8 +258,41 @@ def masked_softmax(scores: Node, keep) -> Node:
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
     e = np.where(k, np.exp(np.where(k, x - rowmax, 0.0)), 0.0)
     denom = e.sum(axis=1, keepdims=True)
-    return _softmax_node(np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0),
-                         scores)
+    y = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0)
+    out, rec = _record(y, (scores,))
+    if rec:
+
+        def rule():
+            # masked (zero) positions get zero gradient
+            g = out.grad
+            dot = (g * y).sum(axis=1, keepdims=True)
+            _acc(scores, y * (g - dot))
+
+        out.backward_rule = rule
+    return out
+
+
+def log_softmax_sum(z: Node, w) -> Node:
+    """Weighted log-likelihood ``sum(w * log softmax(z))`` over the rows
+    of the logits ``z``, as one (1, 1) node; ``w`` is a constant array of
+    z's shape. The log-probabilities come from the shifted logits by
+    log-sum-exp, with no clamp, so a saturated row keeps its true value
+    and a non-zero gradient ``w - softmax(z) * rowsum(w)``.
+    """
+    wv = np.asarray(w, dtype=np.float64)
+    if wv.shape != z.value.shape:
+        raise ShapeError(f"log_softmax_sum: weights {wv.shape} vs logits {z.value.shape}")
+    shifted = z.value - z.value.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    out, rec = _record(np.array([[(wv * (shifted - np.log(total))).sum()]]), (z,))
+    if rec:
+
+        def rule():
+            _acc(z, out.grad[0, 0] * (wv - e / total * wv.sum(axis=1, keepdims=True)))
+
+        out.backward_rule = rule
+    return out
 
 
 def hstack(parts: Sequence[Node]) -> Node:
@@ -342,32 +346,6 @@ def scale_columns(x: Node, c: Node) -> Node:
                 _acc(x, g * c.value)
             if c.requires_grad:
                 _acc(c, (g * x.value).sum(axis=1, keepdims=True))
-
-        out.backward_rule = rule
-    return out
-
-
-def sum_all(x: Node) -> Node:
-    out, rec = _record(np.array([[x.value.sum()]]), (x,))
-    if rec:
-
-        def rule():
-            _acc(x, np.full(x.value.shape, out.grad[0, 0]))
-
-        out.backward_rule = rule
-    return out
-
-
-def log_clamped(x: Node, eps: float = LOG_EPS) -> Node:
-    """Natural log with the argument clamped below at eps."""
-    out, rec = _record(np.log(np.maximum(x.value, eps)), (x,))
-    if rec:
-
-        def rule():
-            # clamped region is constant, so its derivative is zero
-            g = np.zeros_like(x.value)
-            np.divide(out.grad, x.value, out=g, where=x.value > eps)
-            _acc(x, g)
 
         out.backward_rule = rule
     return out
@@ -597,14 +575,3 @@ def gru_seq(XW: Node, U: Node, b: Node, counts) -> Node:
 
         out.backward_rule = rule
     return out
-
-
-def dropout(x: Node, rate: float, rng: np.random.Generator) -> Node:
-    """Inverted dropout; kept entries scale by 1/(1-rate) so evaluation
-    needs no rescaling. Identity when rate is 0."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout: rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    mask = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
-    return hadamard(x, constant(mask))

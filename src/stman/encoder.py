@@ -52,7 +52,8 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
     """Encode every utterance of a (B, L, T) id grid.
 
     Returns an (L*B, 2E) node, row t*B + b holding dialogue b's utterance
-    t. All-pad rows come out exactly zero.
+    t. All-pad rows come out exactly zero. A non-zero ``dropout_rate``
+    applies inverted dropout drawn from ``rng``.
     """
     B, L, T = ids.shape
     R = L * B
@@ -75,10 +76,14 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
         keep = (lengths > 0).astype(np.float64).reshape(R, 1)
         v = ad.scale_columns(ad.gather_rows(v, back), ad.constant(keep))
 
-    if dropout_rate > 0.0:
-        if rng is None:
-            raise ad.ContractError("dropout requires an rng")
-        v = ad.dropout(v, dropout_rate, rng)
+    if dropout_rate:
+        if rng is None or not 0.0 < dropout_rate < 1.0:
+            raise ad.ContractError(f"dropout requires an rng and a rate in [0, 1), "
+                                   f"got {dropout_rate}")
+        # inverted dropout: kept entries scale by 1/(1-rate), so evaluation
+        # needs no rescaling
+        drop = (rng.random(v.value.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        v = ad.hadamard(v, ad.constant(drop))
     return v
 
 

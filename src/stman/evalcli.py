@@ -354,7 +354,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, cfg, vocab_size = training.load_checkpoint(args.ckpt)
+    try:
+        params, cfg, vocab_size = training.load_checkpoint(args.ckpt)
+    except ValueError as exc:
+        raise ValueError(f"{args.ckpt}: {exc}") from exc
     vocab_path = args.vocab or args.ckpt + ".vocab"
     vocab = cp.load_vocab(vocab_path)
     if len(vocab) != vocab_size:

@@ -58,6 +58,9 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "stman-checkpoint-v1"
 
+# config keys of retired schedule options, which older checkpoints carry
+_RETIRED_CONFIG_KEYS = {"adv_theta_k", "adv_phase1"}
+
 # accepted value types per ModelConfig field annotation; a float field
 # also takes an int
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
@@ -216,20 +219,15 @@ def momentum_step(params: dict, velocities: dict, grads: dict, lr: float,
 # ------------------------------------------------------------------ losses
 
 
-def _log_likelihood(probs: ad.Node, weights: np.ndarray) -> ad.Node:
-    """sum(weights * log p) over one matrix of distributions."""
-    return ad.sum_all(ad.hadamard(ad.constant(weights), ad.log_clamped(probs)))
-
-
 def _position_major(grid: np.ndarray) -> np.ndarray:
     """A (B, L) per-utterance grid as the (L*B,) column of the states:
     entry t*B + b is grid[b, t]."""
     return grid.T.reshape(-1)
 
 
-def task_loss(p_m: ad.Node, sat: np.ndarray, sa_probs, sent: np.ndarray,
+def task_loss(z_m: ad.Node, sat: np.ndarray, z_sa, sent: np.ndarray,
               utt_valid: np.ndarray, use_aux: bool) -> ad.Node:
-    """Batch-mean task loss.
+    """Batch-mean task loss from the heads' logits.
 
     Per dialogue: cross-entropy of the satisfaction prediction, plus the
     per-utterance sentiment cross-entropies averaged over that dialogue's
@@ -238,31 +236,30 @@ def task_loss(p_m: ad.Node, sat: np.ndarray, sa_probs, sent: np.ndarray,
     B = sat.shape[0]
     w_m = np.zeros((B, heads.N_SAT))
     w_m[np.arange(B), sat] = 1.0 / B
-    loss = _log_likelihood(p_m, -w_m)
+    loss = ad.log_softmax_sum(z_m, -w_m)
     if not use_aux:
         return loss
     lengths = utt_valid.sum(axis=1, keepdims=True)
     share = _position_major(np.where(utt_valid, 1.0 / (lengths * B), 0.0))
     w_sa = np.zeros((share.size, heads.N_SENT))
     w_sa[np.arange(share.size), _position_major(sent)] = share
-    return ad.add(loss, _log_likelihood(sa_probs, -w_sa))
+    return ad.add(loss, ad.log_softmax_sum(z_sa, -w_sa))
 
 
-def adv_loss(pk: ad.Node, utt_valid: np.ndarray) -> ad.Node:
+def adv_loss(zk: ad.Node, utt_valid: np.ndarray) -> ad.Node:
     """Discriminator log-likelihood J: per dialogue, mean log-probability
     of the true origin over the 2L feature rows (L from each stream),
-    then batch-mean. ``pk`` is the (L*B, 4) output of
+    then batch-mean. ``zk`` is the (2*L*B, 2) logits output of
     ``heads.discriminate_steps``. Maximization ascends it, minimization
     descends it."""
     B = utt_valid.shape[0]
     lengths = utt_valid.sum(axis=1, keepdims=True)
     w = _position_major(np.where(utt_valid, 1.0 / (2.0 * lengths * B), 0.0))
-    # columns: stream m's two classes, then stream a's; each stream's
-    # true class is its index
-    weights = np.zeros((w.size, 2 * heads.N_TASKS))
-    weights[:, 0] = w
-    weights[:, heads.N_TASKS + 1] = w
-    return _log_likelihood(pk, weights)
+    # row 2r + i is row r of stream i, whose true class is i
+    weights = np.zeros((2 * w.size, heads.N_TASKS))
+    weights[0::2, 0] = w
+    weights[1::2, 1] = w
+    return ad.log_softmax_sum(zk, weights)
 
 
 # ---------------------------------------------------------------- forwards
@@ -270,27 +267,28 @@ def adv_loss(pk: ad.Node, utt_valid: np.ndarray) -> ad.Node:
 
 def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
                  train_mode: bool = False, drop_rng=None):
-    """Full task forward on one batch. Returns (loss, p_m, sa_probs):
-    p_m is (B, 3), sa_probs the (L*B, 3) position-major sentiment
-    distributions, or None without the auxiliary head."""
+    """Full task forward on one batch. Returns (loss, z_m, z_sa): z_m
+    holds the (B, 3) satisfaction logits, z_sa the (L*B, 3)
+    position-major sentiment logits, or None without the auxiliary
+    head."""
     B, L, _ = batch.ids.shape
     rate = cfg.dropout if train_mode else 0.0
     V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, rate, drop_rng)
     H_m, H_a = interaction.run_interaction(P, V, batch.turn, B, L, cfg.K,
                                            cfg.use_st, cfg.use_aux)
     keep = (batch.is_user & batch.utt_valid) if cfg.use_mask else batch.utt_valid
-    p_m, _ = heads.use_decode_steps(P, H_m, keep, batch.utt_valid.sum(axis=1) - 1)
-    sa_probs = heads.sa_decode(P, H_a) if cfg.use_aux else None
-    loss = task_loss(p_m, batch.sat, sa_probs, batch.sent, batch.utt_valid,
+    z_m, _ = heads.use_decode_steps(P, H_m, keep, batch.utt_valid.sum(axis=1) - 1)
+    z_sa = heads.sa_decode(P, H_a) if cfg.use_aux else None
+    loss = task_loss(z_m, batch.sat, z_sa, batch.sent, batch.utt_valid,
                      cfg.use_aux)
-    return loss, p_m, sa_probs
+    return loss, z_m, z_sa
 
 
 def forward_discriminator(P: dict, batch: cp.Batch, cfg: ModelConfig,
                           train_mode: bool = False, drop_rng=None):
     """Encoder, both dense projections, and the discriminator over both
-    streams. Returns the (L*B, 4) position-major origin distributions:
-    stream m's two columns, then stream a's."""
+    streams. Returns the (2*L*B, 2) origin logits: row 2r + i is
+    position-major row r of stream i."""
     B, L, _ = batch.ids.shape
     rate = cfg.dropout if train_mode else 0.0
     V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, rate, drop_rng)
@@ -302,21 +300,22 @@ def forward_discriminator(P: dict, batch: cp.Batch, cfg: ModelConfig,
 def forward_adv(P: dict, batch: cp.Batch, cfg: ModelConfig,
                 train_mode: bool = False, drop_rng=None) -> ad.Node:
     """Adversarial objective J on one batch."""
-    pk = forward_discriminator(P, batch, cfg, train_mode, drop_rng)
-    return adv_loss(pk, batch.utt_valid)
+    zk = forward_discriminator(P, batch, cfg, train_mode, drop_rng)
+    return adv_loss(zk, batch.utt_valid)
 
 
 def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
                            cfg: ModelConfig) -> float:
     """Per-utterance accuracy of the discriminator at naming each feature
-    row's stream of origin, over both streams' real utterances."""
+    row's stream of origin, over both streams' real utterances, by the
+    argmax of its logits."""
     correct = 0
     total = 0
     for batch in cp.batchify(dialogues, vocab, cfg.batch):
-        pk = forward_discriminator(as_leaves(params), batch, cfg).value
+        zk = forward_discriminator(as_leaves(params), batch, cfg).value
         valid = _position_major(batch.utt_valid)[:, None]
         # (row, stream) argmax classes; stream i's true class is i
-        preds = np.argmax(pk.reshape(-1, heads.N_TASKS, heads.N_TASKS), axis=2)
+        preds = np.argmax(zk, axis=1).reshape(-1, heads.N_TASKS)
         correct += int(np.sum((preds == np.arange(heads.N_TASKS)) & valid))
         total += heads.N_TASKS * int(np.sum(valid))
     return correct / total
@@ -459,11 +458,11 @@ def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,
     sa_preds: list[int] | None = [] if cfg.use_aux else None
     for batch in cp.batchify(dialogues, vocab, batch_size or cfg.batch):
         P = as_leaves(params)
-        _, p_m, sa_probs = forward_task(P, batch, cfg, train_mode=False)
-        use_preds.extend(int(i) for i in np.argmax(p_m.value, axis=1))
+        _, z_m, z_sa = forward_task(P, batch, cfg, train_mode=False)
+        use_preds.extend(int(i) for i in np.argmax(z_m.value, axis=1))
         if cfg.use_aux:
             # position-major rows back to the (B, L) grid, for corpus order
-            preds = np.argmax(sa_probs.value, axis=1).reshape(-1, batch.size).T
+            preds = np.argmax(z_sa.value, axis=1).reshape(-1, batch.size).T
             sa_preds.extend(int(i) for i in preds[batch.utt_valid])
     return use_preds, sa_preds
 
@@ -503,9 +502,11 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, vocab_size: int) -> No
 
 
 def load_checkpoint(path):
-    """Returns (params, config, vocab_size). Every shape is validated
-    against what the config says the model must contain, and every value
-    must be a finite number; an error names the parameter or field."""
+    """Returns (params, config, vocab_size). The config must hold every
+    ModelConfig field and no other key but a retired one; every shape is
+    validated against what the config says the model must contain, and
+    every value must be a finite number; an error names the parameter or
+    field."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -519,8 +520,13 @@ def load_checkpoint(path):
         if not isinstance(payload[key], dict):
             raise ValueError(f"{key} must be a JSON object, "
                              f"got {type(payload[key]).__name__}")
+    stored = payload["config"]
     known = {f.name for f in fields(ModelConfig)}
-    cfg = ModelConfig(**{k: v for k, v in payload["config"].items() if k in known})
+    unknown = sorted(set(stored) - known - _RETIRED_CONFIG_KEYS)
+    missing = sorted(known - set(stored))
+    if unknown or missing:
+        raise ValueError(f"checkpoint config mismatch: unknown {unknown}, missing {missing}")
+    cfg = ModelConfig(**{k: v for k, v in stored.items() if k in known})
     cfg.validate()
     vocab_size = payload["vocab_size"]
     if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:

@@ -105,9 +105,9 @@ def test_criterion_2_exactness_fixtures():
     assert np.all(h_prev != 0.0)
     assert np.max(np.abs(H[1:2] - 0.5 * h_prev)) <= 1e-15
 
-    # uniform satisfaction probabilities score ln 3
-    p_m = ad.constant(np.full((1, 3), 1.0 / 3.0))
-    loss = tr.task_loss(p_m, np.array([2]), None, None,
+    # equal satisfaction logits (uniform probabilities) score ln 3
+    z_m = ad.constant(np.zeros((1, 3)))
+    loss = tr.task_loss(z_m, np.array([2]), None, None,
                         np.array([[True]]), use_aux=False)
     assert loss.value[0, 0] == pytest.approx(math.log(3.0), abs=1e-12)
 

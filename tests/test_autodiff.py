@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stman.autodiff as ad
+import stman.encoder as enc
 from oracles import (GRAD_TOL, gru_shared_ref, lstm_cell_ref, numeric_grad, rel_err,
                      softmax_rows_mp)
+from testkit import softmax, sum_all
 
 
 def matmul_triple_loop(a, b):
@@ -24,6 +26,18 @@ def matmul_triple_loop(a, b):
             for k in range(n):
                 s += a[i, k] * b[k, j]
             out[i, j] = s
+    return out
+
+
+def loss_softmax(x):
+    """Row softmax of ``x`` read back from ``log_softmax_sum``, one entry
+    per call: all weight on entry (r, k) gives log p[r, k]."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        w = np.zeros_like(x)
+        w[idx] = 1.0
+        out[idx] = np.exp(ad.log_softmax_sum(ad.constant(x), w).value[0, 0])
     return out
 
 
@@ -84,17 +98,42 @@ def test_elementwise_shape_errors():
     for op in (ad.add, ad.hadamard):
         with pytest.raises(ad.ShapeError):
             op(a, b)
+    with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
+        ad.log_softmax_sum(a, np.zeros((2, 3)))
 
 
 def test_softmax_uniform_on_equal_scores():
-    out = ad.softmax_rows(ad.constant([0.0, 0.0, 0.0]))
-    assert np.allclose(out.value, 1.0 / 3.0, rtol=0, atol=1e-15)
+    out = loss_softmax([0.0, 0.0, 0.0])
+    assert np.allclose(out, 1.0 / 3.0, rtol=0, atol=1e-15)
 
 
 def test_softmax_matches_high_precision_oracle():
     x = np.array([[1.0, 2.0, 3.0]])
-    got = ad.softmax_rows(ad.constant(x)).value
+    got = loss_softmax(x)
     assert np.max(np.abs(got - softmax_rows_mp(x))) <= 1e-12
+
+
+def test_log_softmax_sum_matches_high_precision_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        z = rng.normal(scale=4.0, size=(int(rng.integers(1, 6)), int(rng.integers(2, 6))))
+        w = rng.uniform(0.0, 1.0, size=z.shape)
+        got = ad.log_softmax_sum(ad.constant(z), w).value[0, 0]
+        want = float(np.sum(w * np.log(softmax_rows_mp(z))))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_log_softmax_sum_keeps_value_and_gradient_on_saturated_rows():
+    """All weight on a class of probability e^-1000: the value is the true
+    log-probability and the gradient w - softmax(z) * rowsum(w) stays
+    non-zero, where a log clamped at 1e-12 would read -27.6 with a zero
+    gradient."""
+    z = ad.leaf([[0.0, -1000.0]])
+    with ad.Tape() as tape:
+        loss = ad.log_softmax_sum(z, np.array([[0.0, 1.0]]))
+        tape.backward(loss)
+    assert loss.value[0, 0] == -1000.0
+    assert np.array_equal(z.grad, [[-1.0, 1.0]])
 
 
 @settings(max_examples=200)
@@ -104,9 +143,9 @@ def test_softmax_matches_high_precision_oracle():
 )
 def test_softmax_rows_sum_to_one_and_shift_invariant(row, c):
     x = np.array([row])
-    y = ad.softmax_rows(ad.constant(x)).value
+    y = loss_softmax(x)
     assert abs(y.sum() - 1.0) <= 1e-12
-    y_shift = ad.softmax_rows(ad.constant(x + c)).value
+    y_shift = loss_softmax(x + c)
     assert np.max(np.abs(y - y_shift)) <= 1e-12
 
 
@@ -125,7 +164,7 @@ def test_masked_softmax_uniform_over_kept():
 def test_masked_softmax_all_true_equals_softmax():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 5))
-    plain = ad.softmax_rows(ad.constant(x)).value
+    plain = softmax(x)
     masked = ad.masked_softmax(ad.constant(x), np.ones_like(x, dtype=bool)).value
     assert np.max(np.abs(plain - masked)) <= 1e-15
 
@@ -166,7 +205,7 @@ def test_backward_sum_tanh_wx():
     rng = np.random.default_rng(3)
     W = rng.normal(size=(4, 3))
     x = rng.normal(size=(3, 2))
-    fd_check(lambda ls: ad.sum_all(ad.tanh(ad.matmul(ls[0], ls[1]))), [W, x])
+    fd_check(lambda ls: sum_all(ad.tanh(ad.matmul(ls[0], ls[1]))), [W, x])
 
 
 def test_constants_receive_no_gradient():
@@ -186,17 +225,6 @@ def test_backward_rejects_non_scalar():
             tape.backward(y)
 
 
-def test_log_clamped_zero_grad_in_clamped_region():
-    x = ad.leaf([[0.5, 0.0, -1.0]])
-    with ad.Tape() as tape:
-        tape.backward(ad.sum_all(ad.log_clamped(x)))
-    assert x.grad[0, 0] == pytest.approx(2.0)
-    assert x.grad[0, 1] == 0.0
-    assert x.grad[0, 2] == 0.0
-    y = ad.log_clamped(ad.constant([[0.0]]))
-    assert y.value[0, 0] == np.log(1e-12)
-
-
 def zero_grads(tape):
     """Clear every gradient the tape's backward can have written."""
     for node in tape.nodes:
@@ -209,7 +237,7 @@ def test_rerun_after_zero_is_bitwise_identical():
     rng = np.random.default_rng(5)
     x, w = ad.leaf(rng.normal(size=(3, 3))), ad.leaf(rng.normal(size=(3, 3)))
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.tanh(ad.matmul(x, w)))
+        loss = sum_all(ad.tanh(ad.matmul(x, w)))
         tape.backward(loss)
         first = (x.grad.copy(), w.grad.copy())
         zero_grads(tape)
@@ -227,7 +255,7 @@ def test_finished_tape_leaves_no_reference_cycles():
     gc.disable()
     try:
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.softmax_rows(ad.tanh(ad.matmul(x, w))))
+            loss = ad.log_softmax_sum(ad.tanh(ad.matmul(x, w)), np.ones((3, 2)))
             tape.backward(loss)
         del tape, loss
         assert gc.collect() == 0
@@ -242,7 +270,7 @@ def test_fanout_accumulates_per_consumer():
     x = ad.leaf([[1.5]])
     with ad.Tape() as tape:
         y = ad.tanh(x)
-        loss = ad.sum_all(ad.add(ad.hadamard(y, y),
+        loss = sum_all(ad.add(ad.hadamard(y, y),
                                  ad.hadamard(y, ad.constant([[3.0]]))))
         tape.backward(loss)
     t = np.tanh(1.5)
@@ -255,27 +283,40 @@ def test_shared_leaf_collects_both_branch_contributions():
     x1, x2, w = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
 
     def build(ls):
-        return ad.sum_all(ad.add(ad.matmul(ls[0], ls[2]), ad.matmul(ls[1], ls[2])))
+        return sum_all(ad.add(ad.matmul(ls[0], ls[2]), ad.matmul(ls[1], ls[2])))
 
     fd_check(build, [x1, x2, w])
 
 
 def test_finite_outputs_on_extreme_inputs():
     big = ad.constant([[1000.0, -1000.0, 0.0]])
-    for out in (ad.tanh(big), ad.softmax_rows(big),
-                ad.masked_softmax(big, [True, True, False])):
-        assert np.all(np.isfinite(out.value))
+    for out in (ad.tanh(big).value, loss_softmax(big.value),
+                ad.masked_softmax(big, [True, True, False]).value):
+        assert np.all(np.isfinite(out))
+    z = ad.leaf(big.value.copy())
+    with ad.Tape() as tape:
+        loss = ad.log_softmax_sum(z, np.ones((1, 3)))
+        tape.backward(loss)
+    assert np.isfinite(loss.value[0, 0]) and np.all(np.isfinite(z.grad))
 
 
 def test_dropout_contracts():
+    """Inverted dropout, applied by ``encode_grid`` as a ``hadamard`` with
+    a constant mask: rate 0 is the identity, a kept entry is scaled by
+    exactly 1/(1-rate), and rate 1 is rejected."""
     rng = np.random.default_rng(0)
-    x = ad.constant(np.ones((20, 20)))
-    assert ad.dropout(x, 0.0, rng) is x
-    kept = ad.dropout(x, 0.2, rng).value
-    vals = set(np.round(np.unique(kept), 12))
-    assert vals <= {0.0, round(1 / 0.8, 12)}
+    P = {name: ad.leaf(rng.uniform(-0.3, 0.3, size=shape))
+         for name, shape in enc.param_specs(10, 5, 4)}
+    ids = np.full((8, 1, 3), 2, dtype=np.intp)
+    mask = np.ones((8, 1, 3), dtype=bool)
+    plain = enc.encode_grid(P, ids, mask, E=4).value
+    same = enc.encode_grid(P, ids, mask, E=4, dropout_rate=0.0, rng=rng).value
+    assert np.array_equal(same, plain)
+    kept = enc.encode_grid(P, ids, mask, E=4, dropout_rate=0.2, rng=rng).value
+    assert np.all((kept == 0.0) | (kept == plain * (1.0 / (1.0 - 0.2))))
+    assert np.any(kept != 0.0) and np.any(kept == 0.0)
     with pytest.raises(ad.ContractError):
-        ad.dropout(x, 1.0, rng)
+        enc.encode_grid(P, ids, mask, E=4, dropout_rate=1.0, rng=rng)
 
 
 @pytest.mark.parametrize("width, ids, second", [
@@ -293,8 +334,8 @@ def test_gather_rows_scatter_adds_repeated_indices(width, ids, second):
     gathers = [np.array(i) for i in (ids, second) if i is not None]
     gs = [rng.normal(size=(i.size, width)) for i in gathers]
     with ad.Tape() as tape:
-        tape.backward(ad.sum_all(ad.hstack([
-            ad.sum_all(ad.hadamard(ad.gather_rows(table, i), ad.constant(g)))
+        tape.backward(sum_all(ad.hstack([
+            sum_all(ad.hadamard(ad.gather_rows(table, i), ad.constant(g)))
             for i, g in zip(gathers, gs)])))
     want = np.zeros((6, width))
     for i, g in zip(gathers, gs):
@@ -312,7 +353,7 @@ def test_gather_rows_without_repeats_scatters_each_row_once():
     ids = np.array([5, 0, 3, 6, 1])
     g = rng.normal(size=(ids.size, 3))
     with ad.Tape() as tape:
-        tape.backward(ad.sum_all(ad.hadamard(ad.gather_rows(table, ids), ad.constant(g))))
+        tape.backward(sum_all(ad.hadamard(ad.gather_rows(table, ids), ad.constant(g))))
     want = np.zeros((7, 3))
     want[ids] = g
     assert np.array_equal(table.grad, want)
@@ -362,7 +403,7 @@ def test_lstm_seq_gradients_on_ragged_lengths(reverse):
     xw = rng.normal(size=(N, 4 * E))
     U, b = rng.normal(scale=0.5, size=(E, 4 * E)), rng.normal(size=(1, 4 * E))
     w = rng.normal(size=(N, E))
-    fd_check(lambda ls: ad.sum_all(ad.hadamard(
+    fd_check(lambda ls: sum_all(ad.hadamard(
         ad.lstm_seq(ls[0], ls[1], ls[2], RAGGED_COUNTS, reverse=reverse),
         ad.constant(w))), [xw, U, b])
 
@@ -403,7 +444,7 @@ def test_gru_seq_gradients_on_ragged_lengths():
     xw = rng.normal(size=(N, 3 * K))
     U, b = rng.normal(scale=0.5, size=(K, 3 * K)), rng.normal(size=(1, 3 * K))
     w = rng.normal(size=(N, K))
-    fd_check(lambda ls: ad.sum_all(ad.hadamard(
+    fd_check(lambda ls: sum_all(ad.hadamard(
         ad.gru_seq(ls[0], ls[1], ls[2], RAGGED_COUNTS), ad.constant(w))), [xw, U, b])
 
 
@@ -452,50 +493,45 @@ def test_every_op_against_finite_differences():
         w_mn = rng.normal(size=(m, n))
         w_mp = rng.normal(size=(m, p))
 
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.matmul(ls[0], ls[1]),
-                                                   ad.constant(w_mp))), [a, b])
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.add(ls[0], ls[1]),
-                                                   ad.constant(w_mn))), [a, s])
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ls[0], ls[1])), [a, s])
-        fd_check(lambda ls: ad.sum_all(ad.tanh(ls[0])), [a])
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.softmax_rows(ls[0]),
-                                                   ad.constant(w_mn))), [a])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.matmul(ls[0], ls[1]),
+                                                ad.constant(w_mp))), [a, b])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.add(ls[0], ls[1]),
+                                                ad.constant(w_mn))), [a, s])
+        fd_check(lambda ls: sum_all(ad.hadamard(ls[0], ls[1])), [a, s])
+        fd_check(lambda ls: sum_all(ad.tanh(ls[0])), [a])
+        fd_check(lambda ls: ad.log_softmax_sum(ls[0], w_mn), [a])
 
         keep = rng.random((m, n)) < 0.7
         if m > 1:
             keep[rng.integers(m)] = False  # exercise the all-masked contract
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.masked_softmax(ls[0], keep),
-                                                   ad.constant(w_mn))), [a])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.masked_softmax(ls[0], keep),
+                                                ad.constant(w_mn))), [a])
 
         w_cat = rng.normal(size=(m, 2 * n))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.hstack([ls[0], ls[1]]),
-                                                   ad.constant(w_cat))), [a, s])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.hstack([ls[0], ls[1]]),
+                                                ad.constant(w_cat))), [a, s])
         w_three = rng.normal(size=(m, 3 * n))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.hstack(list(ls)),
-                                                   ad.constant(w_three))), [a, s, w_mn])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.hstack(list(ls)),
+                                                ad.constant(w_three))), [a, s, w_mn])
 
         bias = rng.normal(size=(1, n))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.add_bias(ls[0], ls[1]),
-                                                   ad.constant(w_mn))), [a, bias])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.add_bias(ls[0], ls[1]),
+                                                ad.constant(w_mn))), [a, bias])
         col = rng.normal(size=(m, 1))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.scale_columns(ls[0], ls[1]),
-                                                   ad.constant(w_mn))), [a, col])
-
-        pos = rng.uniform(0.1, 2.0, size=(m, n))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.log_clamped(ls[0]),
-                                                   ad.constant(w_mn))), [pos])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.scale_columns(ls[0], ls[1]),
+                                                ad.constant(w_mn))), [a, col])
 
         table = rng.normal(size=(m, n))
         ids = rng.integers(0, m, size=4)  # repeats exercise scatter-add
         w_g = rng.normal(size=(4, n))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.gather_rows(ls[0], ids),
-                                                   ad.constant(w_g))), [table])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.gather_rows(ls[0], ids),
+                                                ad.constant(w_g))), [table])
 
         w_t = rng.normal(size=(n, m))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.reshape(ls[0], n, m),
-                                                   ad.constant(w_t))), [a])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.reshape(ls[0], n, m),
+                                                ad.constant(w_t))), [a])
         counts = -np.sort(-rng.integers(1, 4, size=m))  # m steps, non-increasing
         seqs = rng.normal(size=(int(counts.sum()), n))
         w_p = rng.normal(size=(counts[0], n))
-        fd_check(lambda ls: ad.sum_all(ad.hadamard(ad.packed_sum(ls[0], counts),
-                                                   ad.constant(w_p))), [seqs])
+        fd_check(lambda ls: sum_all(ad.hadamard(ad.packed_sum(ls[0], counts),
+                                                ad.constant(w_p))), [seqs])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import stman.autodiff as ad
 import stman.encoder as enc
 from oracles import GRAD_TOL, encoder_ref, numeric_grad, rel_err
+from testkit import sum_all
 
 
 def make_params(vocab_size, D, E, seed=0, scale=0.3):
@@ -202,7 +203,7 @@ def test_gradients_match_finite_differences():
     leaves = as_leaves(params)
     with ad.Tape() as tape:
         V = enc.encode_grid(leaves, ids, mask, E=4)
-        tape.backward(ad.sum_all(ad.hadamard(V, ad.constant(weight))))
+        tape.backward(sum_all(ad.hadamard(V, ad.constant(weight))))
     numeric = numeric_grad(loss_value, [params[n] for n in names])
     for name, want in zip(names, numeric):
         got = leaves[name].grad
@@ -231,7 +232,7 @@ def test_repeated_token_gradients_match_finite_differences():
     leaves = as_leaves(params)
     with ad.Tape() as tape:
         V = enc.encode_grid(leaves, ids, mask, E=3)
-        tape.backward(ad.sum_all(ad.hadamard(V, ad.constant(weight))))
+        tape.backward(sum_all(ad.hadamard(V, ad.constant(weight))))
     numeric = numeric_grad(loss_value, [params[n] for n in names])
     for name, want in zip(names, numeric):
         err = rel_err(leaves[name].grad, want)

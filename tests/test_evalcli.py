@@ -345,7 +345,7 @@ def test_cli_eval_reports_malformed_checkpoint_as_error(tmp_path, capsys, payloa
     capsys.readouterr()
     assert ev.main(["eval", "--ckpt", str(ckpt), "--corpus", corpus]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err
+    assert err.startswith(f"error: {ckpt}: ") and field in err
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ import stman.autodiff as ad
 import stman.interaction as it
 from oracles import (GRAD_TOL, gru_shared_ref, gru_task_ref, numeric_grad,
                      rel_err)
+from testkit import sum_all
 
 
 def make_params(E, K, Z, use_st=True, use_aux=True, use_td=True, seed=0,
@@ -309,7 +310,7 @@ def test_shared_gru_receives_gradient_from_both_streams():
                 leaves, ad.constant(V), np.zeros((1, L), dtype=int), 1, L, K,
                 use_st=False, use_aux=True)
             H = (H_m, H_a)[task_index]
-            tape.backward(ad.sum_all(ad.gather_rows(H, [L - 1])))
+            tape.backward(sum_all(ad.gather_rows(H, [L - 1])))
         assert leaves["gru_s.W_r"].grad is not None
         assert np.any(leaves["gru_s.W_r"].grad != 0.0)
         # the other task's private weights stay out of this loss
@@ -334,8 +335,8 @@ def test_gradients_match_finite_differences():
             use_st=True, use_aux=True)
         final = np.arange((L - 1) * B, L * B)  # the last step's rows
         return ad.add(
-            ad.sum_all(ad.hadamard(ad.gather_rows(H_m, final), ad.constant(w_m))),
-            ad.sum_all(ad.hadamard(ad.gather_rows(H_a, final), ad.constant(w_a))))
+            sum_all(ad.hadamard(ad.gather_rows(H_m, final), ad.constant(w_m))),
+            sum_all(ad.hadamard(ad.gather_rows(H_a, final), ad.constant(w_a))))
 
     names = sorted(P)
     leaves = as_leaves(P)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import stman.autodiff as ad
 import stman.corpus as cp
 import stman.training as tr
+from testkit import softmax
 
 
 def small_config(**kw):
@@ -153,81 +154,90 @@ def test_momentum_skips_absent_gradients():
 # ------------------------------------------------------------------- losses
 
 
-def constant_probs(rows):
-    """Distributions as one matrix; per-utterance ones are position-major
-    (row t*B + b), which for one dialogue is one row per step."""
-    return ad.constant(np.array(rows, dtype=np.float64))
+def logits_of(rows):
+    """Logits whose row softmax is the given distributions, as one matrix:
+    log p, with -1000 for a zero probability. Per-utterance ones are
+    position-major (row t*B + b), which for one dialogue is one row per
+    step."""
+    p = np.array(rows, dtype=np.float64)
+    return ad.constant(np.log(p, out=np.full_like(p, -1000.0), where=p > 0.0))
+
+
+def interleaved_logits(rows):
+    """The discriminator's (2*R, 2) logits from R rows that each hold
+    stream m's two class probabilities, then stream a's."""
+    return logits_of(np.reshape(rows, (-1, 2)))
 
 
 def test_task_loss_zero_when_certain_and_right():
-    p_m = constant_probs([[1.0, 0.0, 0.0]])
-    loss = tr.task_loss(p_m, np.array([0]), None, None,
+    z_m = logits_of([[1.0, 0.0, 0.0]])
+    loss = tr.task_loss(z_m, np.array([0]), None, None,
                         np.array([[True]]), use_aux=False)
     assert abs(loss.value[0, 0]) <= 1e-12
 
 
 def test_task_loss_uniform_is_log3():
-    p_m = constant_probs([[1 / 3, 1 / 3, 1 / 3]])
-    loss = tr.task_loss(p_m, np.array([2]), None, None,
+    z_m = logits_of([[1 / 3, 1 / 3, 1 / 3]])
+    loss = tr.task_loss(z_m, np.array([2]), None, None,
                         np.array([[True]]), use_aux=False)
     assert loss.value[0, 0] == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 def test_task_loss_with_uniform_sentiments_is_two_log3():
     L = 4
-    p_m = constant_probs([[1 / 3] * 3])
-    sa = constant_probs([[1 / 3] * 3] * L)
-    loss = tr.task_loss(p_m, np.array([1]), sa,
+    z_m = logits_of([[1 / 3] * 3])
+    sa = logits_of([[1 / 3] * 3] * L)
+    loss = tr.task_loss(z_m, np.array([1]), sa,
                         np.zeros((1, L), dtype=int),
                         np.ones((1, L), dtype=bool), use_aux=True)
     assert loss.value[0, 0] == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
 
 
 def test_task_loss_mixed_fixture():
-    p_m = constant_probs([[0.5, 0.25, 0.25]])
-    sa = constant_probs([[0.25, 0.5, 0.25], [0.2, 0.2, 0.6]])
-    loss = tr.task_loss(p_m, np.array([0]), sa, np.array([[1, 2]]),
+    z_m = logits_of([[0.5, 0.25, 0.25]])
+    sa = logits_of([[0.25, 0.5, 0.25], [0.2, 0.2, 0.6]])
+    loss = tr.task_loss(z_m, np.array([0]), sa, np.array([[1, 2]]),
                         np.ones((1, 2), dtype=bool), use_aux=True)
     want = -math.log(0.5) + 0.5 * (-math.log(0.5) - math.log(0.6))
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_task_loss_batch_is_dialogue_mean():
-    p_m = constant_probs([[0.5, 0.25, 0.25], [0.1, 0.8, 0.1]])
-    loss = tr.task_loss(p_m, np.array([0, 1]), None, None,
+    z_m = logits_of([[0.5, 0.25, 0.25], [0.1, 0.8, 0.1]])
+    loss = tr.task_loss(z_m, np.array([0, 1]), None, None,
                         np.ones((2, 1), dtype=bool), use_aux=False)
     want = 0.5 * (-math.log(0.5) - math.log(0.8))
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_task_loss_ignores_padded_sentiment_rows():
-    p_m = constant_probs([[1.0, 0.0, 0.0]])
-    sa = constant_probs([[0.5, 0.3, 0.2], [1e-30, 1.0, 0.0]])
+    z_m = logits_of([[1.0, 0.0, 0.0]])
+    sa = logits_of([[0.5, 0.3, 0.2], [1e-30, 1.0, 0.0]])
     valid = np.array([[True, False]])
-    loss = tr.task_loss(p_m, np.array([0]), sa, np.array([[0, 0]]),
+    loss = tr.task_loss(z_m, np.array([0]), sa, np.array([[0, 0]]),
                         valid, use_aux=True)
     assert loss.value[0, 0] == pytest.approx(-math.log(0.5), abs=1e-12)
 
 
 def test_adv_loss_perfect_discrimination_is_zero():
-    pk = constant_probs([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
-    j = tr.adv_loss(pk, np.ones((1, 2), dtype=bool))
+    zk = interleaved_logits([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
+    j = tr.adv_loss(zk, np.ones((1, 2), dtype=bool))
     assert abs(j.value[0, 0]) <= 1e-12
 
 
 def test_adv_loss_coin_flip_is_minus_log2():
-    pk = constant_probs([[0.5, 0.5, 0.5, 0.5]])
-    j = tr.adv_loss(pk, np.ones((1, 1), dtype=bool))
+    zk = interleaved_logits([[0.5, 0.5, 0.5, 0.5]])
+    j = tr.adv_loss(zk, np.ones((1, 1), dtype=bool))
     assert j.value[0, 0] == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_adv_loss_mixed_fixture_and_padding():
     # each row: stream m's two classes, then stream a's
-    pk = constant_probs([[0.9, 0.1, 0.3, 0.7], [0.8, 0.2, 0.4, 0.6]])
-    j = tr.adv_loss(pk, np.ones((1, 2), dtype=bool))
+    zk = interleaved_logits([[0.9, 0.1, 0.3, 0.7], [0.8, 0.2, 0.4, 0.6]])
+    j = tr.adv_loss(zk, np.ones((1, 2), dtype=bool))
     want = (math.log(0.9) + math.log(0.8) + math.log(0.7) + math.log(0.6)) / 4.0
     assert j.value[0, 0] == pytest.approx(want, abs=1e-12)
-    j_pad = tr.adv_loss(pk, np.array([[True, False]]))
+    j_pad = tr.adv_loss(zk, np.array([[True, False]]))
     want_pad = (math.log(0.9) + math.log(0.7)) / 2.0
     assert j_pad.value[0, 0] == pytest.approx(want_pad, abs=1e-12)
 
@@ -241,13 +251,13 @@ def test_batched_task_loss_is_mean_of_singles():
     cfg = small_config(use_td=False)
     params = tr.init_params(cfg, len(vocab))
     (batch,) = cp.batchify(dialogues, vocab, 2)
-    loss2, p_m2, _ = tr.forward_task(tr.as_leaves(params), batch, cfg)
+    loss2, z_m2, _ = tr.forward_task(tr.as_leaves(params), batch, cfg)
     singles = []
     for i, d in enumerate(dialogues):
         (b1,) = cp.batchify([d], vocab, 1)
-        loss1, p_m1, _ = tr.forward_task(tr.as_leaves(params), b1, cfg)
+        loss1, z_m1, _ = tr.forward_task(tr.as_leaves(params), b1, cfg)
         singles.append(loss1.value[0, 0])
-        assert np.max(np.abs(p_m2.value[i] - p_m1.value[0])) <= 1e-10
+        assert np.max(np.abs(softmax(z_m2.value)[i] - softmax(z_m1.value)[0])) <= 1e-10
     assert loss2.value[0, 0] == pytest.approx(np.mean(singles), abs=1e-10)
 
 
@@ -296,9 +306,9 @@ def test_zero_parameters_predict_exactly_uniform():
     params = {name: np.zeros(shape)
               for name, shape in tr.param_specs(cfg, len(vocab))}
     (batch,) = cp.batchify(dialogues, vocab, 2)
-    loss, p_m, _ = tr.forward_task(tr.as_leaves(params), batch, cfg)
+    loss, z_m, _ = tr.forward_task(tr.as_leaves(params), batch, cfg)
     assert loss.value[0, 0] == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
-    assert np.max(np.abs(p_m.value - 1.0 / 3.0)) <= 1e-15
+    assert np.max(np.abs(softmax(z_m.value) - 1.0 / 3.0)) <= 1e-15
 
 
 def test_predict_breaks_ties_toward_lowest_index():
@@ -487,6 +497,21 @@ def test_epoch_without_adversarial_sample_never_touches_discriminator():
 # ------------------------------------------------------------- whole runs
 
 
+def test_saturated_training_keeps_a_task_gradient():
+    """At lr=1e6 the heads saturate within an epoch; the task loss still
+    has a non-zero, finite gradient, where a log clamped at 1e-12 gave
+    exactly zero and froze training."""
+    dialogues = cp.generate_synthetic(60, 0.9, seed=0)
+    cfg = small_config(lr=1e6, epochs=2)
+    result = tr.train(cp.CorpusSplit(dialogues, [], []), cfg)
+    batch = cp.batchify(dialogues, result.vocab, cfg.batch)[0]
+    grads, value = tr._grads_of(result.params,
+                                lambda P: tr.forward_task(P, batch, cfg)[0])
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values() if g is not None))
+    assert math.isfinite(value) and math.isfinite(norm)
+    assert norm > 0.0
+
+
 def test_training_descends_the_task_loss():
     corpus = cp.generate_synthetic(40, correlation_q=0.9, seed=2)
     split = cp.split_corpus(corpus, seed=2)
@@ -624,12 +649,41 @@ def test_checkpoint_with_retired_schedule_keys_loads_and_predicts(tmp_path):
     loaded, cfg2, _ = tr.load_checkpoint(path)
     assert cfg2 == cfg
     (batch,) = cp.batchify(dialogues, vocab, 2)
-    _, p_want, sa_want = tr.forward_task(tr.as_leaves(params), batch, cfg)
-    _, p_got, sa_got = tr.forward_task(tr.as_leaves(loaded), batch, cfg2)
-    assert np.array_equal(p_got.value, p_want.value)
+    _, z_want, sa_want = tr.forward_task(tr.as_leaves(params), batch, cfg)
+    _, z_got, sa_got = tr.forward_task(tr.as_leaves(loaded), batch, cfg2)
+    assert np.array_equal(z_got.value, z_want.value)
     assert np.array_equal(sa_got.value, sa_want.value)
     assert (tr.predict(loaded, dialogues, vocab, cfg2)
             == tr.predict(params, dialogues, vocab, cfg))
+
+
+def _rename_config_key(old, new):
+    def doctor(config):
+        config[new] = config.pop(old)
+    return doctor
+
+
+@pytest.mark.parametrize("doctor, message", [
+    pytest.param(_rename_config_key("use_td", "use_tdd"),
+                 r"unknown \['use_tdd'\], missing \['use_td'\]", id="misspelled"),
+    pytest.param(lambda config: config.update(adv_schedule="every"),
+                 r"unknown \['adv_schedule'\], missing \[\]", id="unknown"),
+    pytest.param(lambda config: config.pop("seed"),
+                 r"unknown \[\], missing \['seed'\]", id="missing"),
+])
+def test_checkpoint_rejects_unknown_and_missing_config_keys(tmp_path, doctor, message):
+    """Only the retired schedule keys may be extra, and every field must be
+    present, so a misspelled key cannot fall back to a default."""
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config()
+    path = tmp_path / "model.json"
+    tr.save_checkpoint(path, tr.init_params(cfg, len(vocab)), cfg, len(vocab))
+    payload = json.loads(path.read_text())
+    doctor(payload["config"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^checkpoint config mismatch: {message}$"):
+        tr.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_missing_and_misshapen_params(tmp_path):
