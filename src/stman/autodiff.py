@@ -258,7 +258,8 @@ def masked_softmax(scores: Node, keep) -> Node:
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
     e = np.where(k, np.exp(np.where(k, x - rowmax, 0.0)), 0.0)
     denom = e.sum(axis=1, keepdims=True)
-    y = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0)
+    # only a row with no kept position is zero; a NaN score stays NaN
+    y = np.divide(e, denom, out=np.zeros_like(e), where=k.any(axis=1, keepdims=True))
     out, rec = _record(y, (scores,))
     if rec:
 

@@ -498,7 +498,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, training.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,7 @@ __all__ = [
     "ModelConfig",
     "VARIANTS",
     "TrainResult",
+    "TrainingDiverged",
     "apply_lr_decay",
     "param_specs",
     "init_params",
@@ -308,16 +309,20 @@ def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
                            cfg: ModelConfig) -> float:
     """Per-utterance accuracy of the discriminator at naming each feature
     row's stream of origin, over both streams' real utterances, by the
-    argmax of its logits."""
+    argmax of its logits. Batches of ``cfg.batch`` dialogues are formed
+    in length order, as in ``predict``; the counts are integers, so the
+    result does not depend on the batching."""
     correct = 0
     total = 0
-    for batch in cp.batchify(dialogues, vocab, cfg.batch):
+    for _, batch in _length_sorted_batches(dialogues, vocab, cfg.batch):
         zk = forward_discriminator(as_leaves(params), batch, cfg).value
         valid = _position_major(batch.utt_valid)[:, None]
         # (row, stream) argmax classes; stream i's true class is i
         preds = np.argmax(zk, axis=1).reshape(-1, heads.N_TASKS)
         correct += int(np.sum((preds == np.arange(heads.N_TASKS)) & valid))
         total += heads.N_TASKS * int(np.sum(valid))
+    if total == 0:
+        raise ValueError("discriminator_accuracy: no utterance to score")
     return correct / total
 
 
@@ -350,10 +355,23 @@ def _grads_of(params: dict, build, names=None):
     return {name: P[name].grad for name in names}, float(loss.value[0, 0])
 
 
+class TrainingDiverged(ArithmeticError):
+    """A training objective became non-finite; the message names the
+    epoch, the batch, the phase and the value."""
+
+
+def _check_finite(value: float, epoch: int, index: int, phase: str) -> None:
+    if not math.isfinite(value):
+        raise TrainingDiverged(f"epoch {epoch}, batch {index}, {phase}: "
+                               f"objective is {value}")
+
+
 def train_epoch(params: dict, velocities: dict, train_dialogues: list,
                 adv_ids: set, vocab: cp.Vocabulary, cfg: ModelConfig,
                 epoch: int, shuffle_rng, drop_rng) -> dict:
-    """One epoch in place; returns the epoch's loss summary."""
+    """One epoch in place; returns the epoch's loss summary. A batch
+    whose objective value is not finite raises ``TrainingDiverged``
+    before its momentum step."""
     lr = apply_lr_decay(cfg.lr, cfg.lr_decay, epoch)
     perm = shuffle_rng.permutation(len(train_dialogues))
     ordered = [train_dialogues[i] for i in perm]
@@ -369,12 +387,14 @@ def train_epoch(params: dict, velocities: dict, train_dialogues: list,
         ascend = group_names(params, "td") + group_names(params, "theta_k")
         total = 0.0
         seen = 0
-        for batch in adv_batches:
-            grads, _ = _grads_of(params, lambda P: forward_adv(
+        for index, batch in enumerate(adv_batches):
+            grads, value = _grads_of(params, lambda P: forward_adv(
                 P, batch, cfg, train_mode=True, drop_rng=drop_rng), descend)
+            _check_finite(value, epoch, index, "phase 1 descent")
             momentum_step(params, velocities, grads, lr, cfg.momentum_mu, descend)
             grads, value = _grads_of(params, lambda P: forward_adv(
                 P, batch, cfg, train_mode=True, drop_rng=drop_rng), ascend)
+            _check_finite(value, epoch, index, "phase 1 ascent")
             ascent = {n: None if g is None else -g for n, g in grads.items()}
             momentum_step(params, velocities, ascent, lr, cfg.momentum_mu, ascend)
             total += value * batch.size
@@ -382,9 +402,10 @@ def train_epoch(params: dict, velocities: dict, train_dialogues: list,
         adv_value = total / seen if seen else None
 
     total = 0.0
-    for batch in batches:
+    for index, batch in enumerate(batches):
         grads, value = _grads_of(params, lambda P: forward_task(
             P, batch, cfg, train_mode=True, drop_rng=drop_rng)[0])
+        _check_finite(value, epoch, index, "phase 2")
         momentum_step(params, velocities, grads, lr, cfg.momentum_mu,
                       group_names(params, "task"))
         total += value * batch.size
@@ -448,23 +469,46 @@ def train(split: cp.CorpusSplit, cfg: ModelConfig) -> TrainResult:
 # --------------------------------------------------------------- inference
 
 
+def _length_sorted_batches(dialogues: list, vocab: cp.Vocabulary, batch_size: int):
+    """Yields (corpus indices, batch) over the dialogues sorted by
+    descending utterance count, a stable sort so that ties keep corpus
+    order. Neighbours in that order have nearly equal lengths, so each
+    batch pads to its own dialogues' L, not to the longest of a random
+    handful."""
+    order = sorted(range(len(dialogues)),
+                   key=lambda i: len(dialogues[i].utterances), reverse=True)
+    start = 0
+    for batch in cp.batchify([dialogues[i] for i in order], vocab, batch_size):
+        yield order[start:start + batch.size], batch
+        start += batch.size
+
+
 def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,
             cfg: ModelConfig, batch_size: int | None = None):
     """Argmax predictions in evaluation mode (no dropout). Returns
-    (use_preds, sa_preds) with sa_preds flattened over real utterances in
-    corpus order, or None without the auxiliary head. Ties break toward
-    the lowest class index."""
-    use_preds: list[int] = []
-    sa_preds: list[int] | None = [] if cfg.use_aux else None
-    for batch in cp.batchify(dialogues, vocab, batch_size or cfg.batch):
+    (use_preds, sa_preds) with use_preds in corpus order and sa_preds
+    flattened over real utterances in corpus order, or None without the
+    auxiliary head. Ties break toward the lowest class index.
+
+    Batches of ``batch_size`` dialogues (default ``cfg.batch``) are
+    formed in descending order of utterance count, so a batch runs only
+    as many recurrence steps as its own longest dialogue; the
+    predictions are scattered back to corpus order and equal those of
+    ``batch_size=1``."""
+    use_preds = np.zeros(len(dialogues), dtype=np.intp)
+    sa_rows = [None] * len(dialogues)
+    batch_size = cfg.batch if batch_size is None else batch_size
+    for indices, batch in _length_sorted_batches(dialogues, vocab, batch_size):
         P = as_leaves(params)
         _, z_m, z_sa = forward_task(P, batch, cfg, train_mode=False)
-        use_preds.extend(int(i) for i in np.argmax(z_m.value, axis=1))
+        use_preds[indices] = np.argmax(z_m.value, axis=1)
         if cfg.use_aux:
-            # position-major rows back to the (B, L) grid, for corpus order
+            # position-major rows back to the (B, L) grid, one row a dialogue
             preds = np.argmax(z_sa.value, axis=1).reshape(-1, batch.size).T
-            sa_preds.extend(int(i) for i in preds[batch.utt_valid])
-    return use_preds, sa_preds
+            for i, row, valid in zip(indices, preds, batch.utt_valid):
+                sa_rows[i] = row[valid].tolist()
+    sa_preds = [p for row in sa_rows for p in row] if cfg.use_aux else None
+    return use_preds.tolist(), sa_preds
 
 
 def evaluate(params: dict, dialogues: list, vocab: cp.Vocabulary,

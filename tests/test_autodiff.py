@@ -176,6 +176,13 @@ def test_masked_softmax_all_masked_row_is_zero():
     assert abs(out.value[1].sum() - 1.0) <= 1e-12
 
 
+def test_masked_softmax_keeps_a_nan_score_visible():
+    out = ad.masked_softmax(ad.constant([[np.nan, 1.0], [np.nan, 2.0]]),
+                            [[True, True], [False, True]])
+    assert np.isnan(out.value[0]).all()
+    assert out.value[1].tolist() == [0.0, 1.0]
+
+
 def test_masked_softmax_matches_high_precision_oracle():
     rng = np.random.default_rng(11)
     x = rng.normal(scale=3.0, size=(3, 6))

@@ -349,6 +349,27 @@ def test_cli_eval_reports_malformed_checkpoint_as_error(tmp_path, capsys, payloa
     assert "Traceback" not in err
 
 
+def test_cli_train_reports_divergence_as_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STMAN_SEED", raising=False)
+    corpus = str(tmp_path / "c.jsonl")
+    ev.main(["gen-data", "--n", "20", "--q", "0.9", "--seed", "4", "--out", corpus])
+    real_init = tr.init_params
+
+    def nan_init(cfg, vocab_size):
+        params = real_init(cfg, vocab_size)
+        params["sa.b"][...] = np.nan
+        return params
+
+    monkeypatch.setattr(tr, "init_params", nan_init)
+    ckpt = tmp_path / "model.json"
+    capsys.readouterr()
+    assert ev.main(["train", "--corpus", corpus, "--out", str(ckpt),
+                    "--config", write_tiny_cfg(tmp_path), "--variant", "basic"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: epoch 0, batch 0, phase 2: objective is nan\n"
+    assert not ckpt.exists()
+
+
 def test_cli_ablate_and_sweep_and_analyze(tmp_path, capsys):
     corpus = str(tmp_path / "c.jsonl")
     ev.main(["gen-data", "--n", "30", "--q", "0.9", "--seed", "3",

@@ -339,6 +339,70 @@ def test_batched_predictions_equal_single_dialogue_predictions():
                                          small_config(batch=1)))
 
 
+mixed_corpora = st.lists(
+    st.builds(cp.Dialogue, st.just("d"), st.sampled_from(cp.SATISFACTIONS),
+              st.lists(utterances, min_size=1, max_size=7)),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mixed_corpora, st.integers(1, 9), st.integers(0, 2**16))
+def test_length_sorted_predict_equals_single_dialogue_predictions(dialogues, batch,
+                                                                  seed):
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config(batch=batch, seed=seed)
+    params = {name: 3.0 * arr
+              for name, arr in tr.init_params(cfg, len(vocab)).items()}
+    singles = [tr.predict(params, [d], vocab, cfg) for d in dialogues]
+    want = ([u for use, _ in singles for u in use],
+            [s for _, sa in singles for s in sa])
+    assert tr.predict(params, dialogues, vocab, cfg) == want
+    assert (tr.evaluate(params, dialogues, vocab, cfg)
+            == tr.evaluate(params, dialogues, vocab, small_config(batch=1, seed=seed)))
+
+
+def test_predict_batches_dialogues_in_stable_descending_length_order(monkeypatch):
+    lengths = [2, 5, 3, 5, 1, 3, 4, 2, 5]
+    dialogues = [cp.Dialogue(f"d{i}", "met",
+                             [cp.Utterance(cp.SPEAKERS[t % 2], ["w"], "neutral")
+                              for t in range(n)])
+                 for i, n in enumerate(lengths)]
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config(batch=4)
+    params = tr.init_params(cfg, len(vocab))
+    seen = []
+    real_forward = tr.forward_task
+
+    def spy(P, batch, *args, **kwargs):
+        seen.append(batch)
+        return real_forward(P, batch, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_task", spy)
+    tr.predict(params, dialogues, vocab, cfg)
+    assert [b.utt_valid.shape[1] for b in seen] == [5, 3, 1]
+    assert [i for b in seen for i in b.dialogue_ids] == [
+        "d1", "d3", "d8", "d6", "d2", "d5", "d0", "d7", "d4"]
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_rejects_batch_size_below_one(batch_size):
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config()
+    params = tr.init_params(cfg, len(vocab))
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        tr.predict(params, dialogues, vocab, cfg, batch_size=batch_size)
+
+
+def test_discriminator_accuracy_of_no_dialogue_is_an_error():
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config()
+    params = tr.init_params(cfg, len(vocab))
+    with pytest.raises(ValueError, match="no utterance to score"):
+        tr.discriminator_accuracy(params, [], vocab, cfg)
+
+
 def test_discriminator_accuracy_bounds_and_determinism():
     dialogues = toy_dialogues()
     vocab = cp.build_vocab(dialogues, min_count=1)
@@ -510,6 +574,39 @@ def test_saturated_training_keeps_a_task_gradient():
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values() if g is not None))
     assert math.isfinite(value) and math.isfinite(norm)
     assert norm > 0.0
+
+
+@pytest.mark.parametrize("planted, use_td, phase", [
+    ("td.", True, "phase 1 descent"),
+    ("use.", True, "phase 2"),
+    ("enc.", False, "phase 2"),
+])
+def test_non_finite_objective_stops_training_before_the_step(monkeypatch, planted,
+                                                             use_td, phase):
+    split = cp.split_corpus(cp.generate_synthetic(24, correlation_q=0.9, seed=5), seed=5)
+    cfg = small_config(use_td=use_td)
+    real_init = tr.init_params
+    made = {}
+
+    def nan_init(cfg, vocab_size):
+        params = real_init(cfg, vocab_size)
+        name = min(n for n in params if n.startswith(planted))
+        params[name][...] = np.nan
+        made["params"] = params
+        made["before"] = {n: arr.copy() for n, arr in params.items()}
+        return params
+
+    monkeypatch.setattr(tr, "init_params", nan_init)
+    with pytest.raises(tr.TrainingDiverged,
+                       match=rf"^epoch 0, batch 0, {phase}: objective is nan$"):
+        tr.train(split, cfg)
+    # only Phase 1 steps ran before a Phase 2 batch 0; the NaN batch took none
+    params, before = made["params"], made["before"]
+    stepped = (set(tr.group_names(params, "enc") + tr.group_names(params, "td")
+                   + tr.group_names(params, "theta_k"))
+               if use_td and phase == "phase 2" else set())
+    assert [n for n in params if n not in stepped
+            and params[n].tobytes() != before[n].tobytes()] == []
 
 
 def test_training_descends_the_task_loss():
