@@ -2,15 +2,18 @@
 attention pooling, producing one vector of width 2E per utterance.
 
 The batched forward flattens a (B dialogues x L utterances) grid into
-R = L*B rows, position-major (row = t*B + b), so downstream recurrences
-over utterance positions can slice contiguous row blocks. Token padding
-must be trailing, and pad tokens are never encoded. The rows with real
-tokens are sorted by length, longest first (a stable sort, so ties keep
-grid order), and their tokens packed step-major: step j holds the rows
-still running at j, a prefix of the sorted rows. Each LSTM direction is
-one ``ad.lstm_seq`` node over that packing; the backward direction
-enters each utterance at its last real token from the zero state. The
-input projections are made once per distinct token of the batch and
+R = L*B rows, position-major (row = t*B + b), and returns the vectors of
+the grid rows its caller lists, in that order: the training forwards
+ask for the real utterances in the packed layout of ``interaction.pack``,
+the one the recurrences above run on. Dropout is drawn over the whole
+grid in grid order, so a draw does not depend on the rows asked for.
+Token padding must be trailing, and pad tokens are never encoded. The
+rows with real tokens are sorted by length, longest first (a stable
+sort, so ties keep grid order), and their tokens packed step-major:
+step j holds the rows still running at j, a prefix of the sorted rows.
+Each LSTM direction is one ``ad.lstm_seq`` node over that packing; the
+backward direction enters each utterance at its last real token from
+the zero state. The input projections are made once per distinct token of the batch and
 then gathered to one row per token, so the embedding gradient and the
 input-weight gradients are sums over distinct tokens rather than over
 every token. This pays on batches that repeat tokens (a synthetic batch
@@ -19,8 +22,7 @@ repeats is the worst case: with 1621 distinct ids from a 20000-row table
 (D=100, E=16; 2 vCPU, one BLAS thread) the forward+backward measured
 11.5 ms against 10.6 ms for projecting every token.
 Attention pools each sorted row over its real tokens, and the pooled
-rows go back to their grid rows. An all-pad row comes out exactly zero
-and is flagged for downstream exclusion.
+rows go to the asked grid rows. An all-pad row comes out exactly zero.
 """
 
 from __future__ import annotations
@@ -48,15 +50,18 @@ def param_specs(vocab_size: int, D: int, E: int) -> list[tuple[str, tuple[int, i
 
 
 def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
-                dropout_rate: float = 0.0, rng=None) -> ad.Node:
-    """Encode every utterance of a (B, L, T) id grid.
+                rows, dropout_rate: float = 0.0, rng=None) -> ad.Node:
+    """Encode the utterances of a (B, L, T) id grid.
 
-    Returns an (L*B, 2E) node, row t*B + b holding dialogue b's utterance
-    t. All-pad rows come out exactly zero. A non-zero ``dropout_rate``
-    applies inverted dropout drawn from ``rng``.
+    ``rows`` lists the grid rows to return, in order, row t*B + b holding
+    dialogue b's utterance t. Returns a (len(rows), 2E) node; an all-pad
+    row comes out exactly zero. A non-zero ``dropout_rate`` applies
+    inverted dropout drawn from ``rng`` over the whole (L*B, 2E) grid in
+    grid order, so the draw does not depend on ``rows``.
     """
     B, L, T = ids.shape
     R = L * B
+    rows = np.asarray(rows, dtype=np.intp)
     grid = ids.transpose(1, 0, 2).reshape(R, T)
     mask = tok_valid.transpose(1, 0, 2).reshape(R, T)
     lengths = mask.sum(axis=1)
@@ -67,14 +72,14 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
     real = np.flatnonzero(lengths)
     order = real[np.argsort(-lengths[real], kind="stable")]
     if order.size == 0:
-        v = ad.constant(np.zeros((R, 2 * E)))
+        v = ad.constant(np.zeros((rows.size, 2 * E)))
     else:
         v = _encode_sorted(P, grid[order], mask[order], E)
-        # back to grid rows; pad rows read row 0 and are zeroed by the mask
+        # to the asked grid rows; a pad row reads row 0 and the mask zeroes it
         back = np.zeros(R, dtype=np.intp)
         back[order] = np.arange(order.size)
-        keep = (lengths > 0).astype(np.float64).reshape(R, 1)
-        v = ad.scale_columns(ad.gather_rows(v, back), ad.constant(keep))
+        keep = (lengths[rows] > 0).astype(np.float64).reshape(-1, 1)
+        v = ad.scale_columns(ad.gather_rows(v, back[rows]), ad.constant(keep))
 
     if dropout_rate:
         if rng is None or not 0.0 < dropout_rate < 1.0:
@@ -82,8 +87,8 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
                                    f"got {dropout_rate}")
         # inverted dropout: kept entries scale by 1/(1-rate), so evaluation
         # needs no rescaling
-        drop = (rng.random(v.value.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        v = ad.hadamard(v, ad.constant(drop))
+        drop = (rng.random((R, 2 * E)) >= dropout_rate) / (1.0 - dropout_rate)
+        v = ad.hadamard(v, ad.constant(drop[rows]))
     return v
 
 

@@ -250,10 +250,11 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
 
 
 def load_config(path) -> ModelConfig:
-    """Flat key=value text; keys are ModelConfig field names. Blank lines
-    and lines starting with # are ignored."""
+    """Flat key=value text; keys are ModelConfig field names, each at most
+    once. Blank lines and lines starting with # are ignored."""
     types = {f.name: f.type for f in fields(ModelConfig)}
     values = {}
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -265,6 +266,10 @@ def load_config(path) -> ModelConfig:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             if key not in types:
                 raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}: line {lineno}: duplicate key {key!r} "
+                                 f"(first on line {first_line[key]})")
+            first_line[key] = lineno
             values[key] = _coerce(key, value, types[key], f"{path}: line {lineno}")
     cfg = ModelConfig(**values)
     cfg.validate()

@@ -1,12 +1,14 @@
 """Decoders: role-masked attention USE head, per-utterance SA head, and
 the task discriminator that tries to tell the two feature streams apart.
 
-Every head reads a stream whole, as the (L*B, K) position-major matrix
-the interaction layer emits (row t*B + b is step t of dialogue b), and
-the per-utterance heads return one (L*B, C) matrix of class logits; the
-losses normalize them. The discriminator applies one parameter set to
-both task streams, so it runs them as one recurrence over the two
-streams' rows interleaved, and returns its logits in that interleave.
+Every head reads a stream whole, as the (N, K) matrix of real-utterance
+rows the interaction layer emits, in the packed layout of its step
+counts (see ``interaction.pack``: dialogues longest first, step-major),
+and the per-utterance heads return one (N, C) matrix of class logits in
+that layout; the losses normalize them. The discriminator applies one
+parameter set to both task streams, so it runs them as one recurrence
+over the two streams' rows interleaved, and returns its logits in that
+interleave.
 """
 
 from __future__ import annotations
@@ -52,44 +54,50 @@ def param_specs(K: int, H: int, use_aux: bool,
     return specs
 
 
-def use_decode_steps(P: dict, H_m: ad.Node, keep: np.ndarray, last: np.ndarray):
+def use_decode_steps(P: dict, H_m: ad.Node, keep: np.ndarray, counts):
     """Attention-pooled satisfaction logits for a batch.
 
-    H_m: the (L*B, K) position-major states. keep: (B, L) positions
-    eligible for attention (user-only when the role mask is on, every real
-    utterance otherwise; padding never). last: (B,) index of each
-    dialogue's final real utterance. Returns (z_m (B,3), alpha (B,L)).
+    H_m: the (N, K) states in the packed layout of the step counts
+    ``counts``. keep: (B, L) positions eligible for attention, dialogues
+    in packed order (user-only when the role mask is on, every real
+    utterance otherwise; padding never). Returns (z_m (B,3), alpha
+    (B,L)), dialogues in packed order.
     """
     B, L = keep.shape
+    n = np.asarray(counts)
     scores = ad.matmul(ad.tanh(ad.add_bias(ad.matmul(H_m, P["use.W_u"]),
                                            P["use.b_u"])), P["use.U_u"])
-    # cell (b, t) of the (B, L) grid reads row t*B + b of the scores, and
-    # row t*B + b of the weight column reads cell (b, t) back
-    cell = np.arange(L) * B + np.arange(B)[:, None]
-    back = np.arange(B) * L + np.arange(L)[:, None]
-    alpha = ad.masked_softmax(
-        ad.reshape(ad.gather_rows(scores, cell.reshape(-1)), B, L), keep)
-    w = ad.gather_rows(ad.reshape(alpha, B * L, 1), back.reshape(-1))
-    pooled = ad.packed_sum(ad.scale_columns(H_m, w), [B] * L)
-    final = ad.gather_rows(H_m, last * B + np.arange(B))
+    # packed row r is step t of dialogue i: cell i*L + t of the (B, L)
+    # grid; a cell past its dialogue's end reads row 0 and is masked
+    steps, ranks = np.nonzero(np.arange(B) < n[:, None])
+    cells = ranks * L + steps
+    at = np.zeros(B * L, dtype=np.intp)
+    at[cells] = np.arange(cells.size)
+    alpha = ad.masked_softmax(ad.reshape(ad.gather_rows(scores, at), B, L), keep)
+    w = ad.gather_rows(ad.reshape(alpha, B * L, 1), cells)
+    pooled = ad.packed_sum(ad.scale_columns(H_m, w), n)
+    # dialogue i's final row: its last step's offset plus its rank
+    last = (np.cumsum(n) - n)[(n[:, None] > np.arange(B)).sum(axis=0) - 1]
+    final = ad.gather_rows(H_m, last + np.arange(B))
     o = ad.hstack([pooled, final])
     return ad.add_bias(ad.matmul(o, P["use.W_o"]), P["use.b_o"]), alpha
 
 
 def sa_decode(P: dict, H_a: ad.Node) -> ad.Node:
-    """Sentiment logits of every state, one (L*B, 3) node."""
+    """Sentiment logits of every state, one (N, 3) node."""
     return ad.add_bias(ad.matmul(H_a, P["sa.W"]), P["sa.b"])
 
 
-def discriminate_steps(P: dict, X_m: ad.Node, X_a: ad.Node, B: int, L: int,
+def discriminate_steps(P: dict, X_m: ad.Node, X_a: ad.Node, counts,
                        K: int) -> ad.Node:
-    """The discriminator GRU over both task-feature streams (position-major
-    (L*B, K) each) as one interleaved recurrence, then the logits of the
-    two task classes at every step of each. Returns one (2*L*B, 2) node in
-    the interleave of its input: row 2r + i is row r of stream i."""
-    # step t is the 2B rows from 2tB
-    X = ad.reshape(ad.hstack([X_m, X_a]), 2 * L * B, K)
+    """The discriminator GRU over both task-feature streams ((N, K) each,
+    in the packed layout of the step counts ``counts``) as one interleaved
+    recurrence, then the logits of the two task classes at every step of
+    each. Returns one (2N, 2) node in the interleave of its input: row
+    2r + i is row r of stream i."""
+    # step t is the 2 * counts[t] rows of its dialogues, both streams
+    X = ad.reshape(ad.hstack([X_m, X_a]), 2 * X_m.value.shape[0], K)
     H = ad.gru_seq(ad.matmul(X, interaction.gates(P, "td", "W")),
                    interaction.gates(P, "td", "U"),
-                   interaction.gates(P, "td", "b"), [2 * B] * L)
+                   interaction.gates(P, "td", "b"), 2 * np.asarray(counts))
     return ad.add_bias(ad.matmul(H, P["td.W_o"]), P["td.b_o"])

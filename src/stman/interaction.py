@@ -2,28 +2,33 @@
 shared GRU applied separately to each task's stream, and task-private
 GRU variants that additionally condition on the shared state.
 
-Layout convention: utterance matrices are position-major, row t*B + b,
-matching the encoder output, so step t of every dialogue in the batch is
-one contiguous row block. Recurrences run over trailing padding (pad
-steps compute garbage states) but masks exclude those rows from every
-downstream loss, and causality keeps real steps clean.
+Layout convention: utterance matrices hold the real utterances of a
+batch only, in the packed layout of ``pack``: the dialogues sorted by
+descending utterance count (a stable sort, so ties keep batch order),
+and step t holding the dialogues still running at t, which are a prefix
+of step t-1's. A padded utterance has no row, so no recurrence, head or
+loss computes anything for it.
 
-Each GRU of a stream is one ``ad.gru_seq`` node over all L steps (dense
-step counts ``[B] * L``), with its input projections for every step made
-in one matmul beforehand: ``X W`` for the shared GRU, ``X_aug W + H_s U^s``
-for a private one, whose bias is a zero constant. The r|z|h gate blocks
-are concatenated at run time from the separately named parameters, so
-the checkpoint format is the one of a per-gate model. The heads read
-each stream's fused (L*B, K) output whole.
+Each GRU of a stream is one ``ad.gru_seq`` node over all steps, with its
+input projections for every step made in one matmul beforehand: ``X W``
+for the shared GRU, ``X_aug W + H_s U^s`` for a private one, whose bias
+is a zero constant. The r|z|h gate blocks are concatenated at run time
+from the separately named parameters, so the checkpoint format is the
+one of a per-gate model. The heads read each stream's fused (N, K)
+output whole.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 
 __all__ = [
+    "Packing",
+    "pack",
     "param_specs",
     "project",
     "gates",
@@ -31,6 +36,35 @@ __all__ = [
 ]
 
 _GATES = ("r", "z", "h")
+
+
+class Packing(NamedTuple):
+    """The packed layout of a batch's real utterances (see ``pack``)."""
+
+    order: np.ndarray  # (B,) batch index of each dialogue, longest first
+    counts: np.ndarray  # (L,) rows of each step
+    rows: np.ndarray  # (N,) position-major grid cell t*B + b of each row
+
+    def take(self, grid: np.ndarray) -> np.ndarray:
+        """The entries of a (B, L) per-utterance grid at the packed rows."""
+        return grid.T.reshape(-1)[self.rows]
+
+
+def pack(utt_valid: np.ndarray) -> Packing:
+    """Packed rows of the real utterances of a (B, L) batch: dialogues in
+    stable descending order of utterance count, step-major, so step t
+    holds ``counts[t]`` rows, one per dialogue still running at t, in
+    that order. Every dialogue needs a first utterance, and padding
+    must be trailing."""
+    B, L = utt_valid.shape
+    lengths = utt_valid.sum(axis=1)
+    trailing = np.array_equal(utt_valid, np.arange(L) < lengths[:, None])
+    if lengths.min() < 1 or not trailing:
+        raise ad.ContractError("pack: every dialogue needs an utterance, "
+                               "and utterance padding must be trailing")
+    order = np.argsort(-lengths, kind="stable")
+    steps, ranks = np.nonzero(utt_valid[order].T)
+    return Packing(order, np.bincount(steps), steps * B + order[ranks])
 
 
 def param_specs(E: int, K: int, Z: int, use_st: bool, use_aux: bool,
@@ -69,14 +103,13 @@ def gates(P: dict, prefix: str, part: str) -> ad.Node:
     return ad.hstack([P[f"{prefix}.{part}_{g}"] for g in _GATES])
 
 
-def _task_stream(P: dict, task: str, X: ad.Node, C, shared, B: int,
-                 L: int, K: int) -> ad.Node:
+def _task_stream(P: dict, task: str, X: ad.Node, C, shared, counts,
+                 K: int) -> ad.Node:
     """One task's pass: shared-state sequence from this task's X using the
     single shared parameter set (``shared`` = its W, U, b gate blocks),
     then the private variant on top, whose input projection also reads
     the same-step shared state through U^s. Every step at once; returns
-    the (L*B, K) private states."""
-    counts = [B] * L
+    the (N, K) private states."""
     W_s, U_s, b_s = shared
     H_s = ad.gru_seq(ad.matmul(X, W_s), U_s, b_s, counts)
     pre = f"gru_{task}"
@@ -87,20 +120,20 @@ def _task_stream(P: dict, task: str, X: ad.Node, C, shared, B: int,
                       counts)
 
 
-def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, B: int, L: int,
-                    K: int, use_st: bool, use_aux: bool):
-    """V is (L*B, 2E) position-major; turn is the (B, L) flag grid.
+def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, counts, K: int,
+                    use_st: bool, use_aux: bool):
+    """V is (N, 2E) in the packed layout of the step counts ``counts``;
+    turn holds the (N,) turn flags of the same rows.
 
     Returns (H_m, H_a): the private hidden states of each task stream,
-    (L*B, K) position-major nodes; H_a is None without the SA stream.
+    (N, K) nodes in that layout; H_a is None without the SA stream.
     """
     X_m = project(P, V, "m")
     X_a = project(P, V, "a") if use_aux else None
 
-    # turn embeddings of every step, position-major like V
-    C = ad.gather_rows(P["turn.emb"], turn.T.reshape(-1)) if use_st else None
+    C = ad.gather_rows(P["turn.emb"], turn) if use_st else None
     shared = tuple(gates(P, "gru_s", part) for part in ("W", "U", "b"))
 
-    H_m = _task_stream(P, "m", X_m, C, shared, B, L, K)
-    H_a = _task_stream(P, "a", X_a, C, shared, B, L, K) if use_aux else None
+    H_m = _task_stream(P, "m", X_m, C, shared, counts, K)
+    H_a = _task_stream(P, "a", X_a, C, shared, counts, K) if use_aux else None
     return H_m, H_a

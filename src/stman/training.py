@@ -220,19 +220,22 @@ def momentum_step(params: dict, velocities: dict, grads: dict, lr: float,
 # ------------------------------------------------------------------ losses
 
 
-def _position_major(grid: np.ndarray) -> np.ndarray:
-    """A (B, L) per-utterance grid as the (L*B,) column of the states:
-    entry t*B + b is grid[b, t]."""
-    return grid.T.reshape(-1)
+def _row_shares(pk: interaction.Packing) -> np.ndarray:
+    """1 / (B * utterances of its dialogue), for each packed row: the
+    weight that makes a loss the batch mean of per-dialogue means."""
+    B = pk.order.size
+    dialogue = pk.rows % B  # grid row t*B + b is dialogue b's
+    return 1.0 / (np.bincount(dialogue, minlength=B)[dialogue] * B)
 
 
 def task_loss(z_m: ad.Node, sat: np.ndarray, z_sa, sent: np.ndarray,
-              utt_valid: np.ndarray, use_aux: bool) -> ad.Node:
+              pk: interaction.Packing, use_aux: bool) -> ad.Node:
     """Batch-mean task loss from the heads' logits.
 
     Per dialogue: cross-entropy of the satisfaction prediction, plus the
     per-utterance sentiment cross-entropies averaged over that dialogue's
-    real utterances. Padded rows carry weight zero by construction.
+    real utterances. ``z_m`` is in batch order; ``z_sa`` has the rows of
+    the packing ``pk``, and ``sent`` is the (B, L) class grid.
     """
     B = sat.shape[0]
     w_m = np.zeros((B, heads.N_SAT))
@@ -240,22 +243,19 @@ def task_loss(z_m: ad.Node, sat: np.ndarray, z_sa, sent: np.ndarray,
     loss = ad.log_softmax_sum(z_m, -w_m)
     if not use_aux:
         return loss
-    lengths = utt_valid.sum(axis=1, keepdims=True)
-    share = _position_major(np.where(utt_valid, 1.0 / (lengths * B), 0.0))
+    share = _row_shares(pk)
     w_sa = np.zeros((share.size, heads.N_SENT))
-    w_sa[np.arange(share.size), _position_major(sent)] = share
+    w_sa[np.arange(share.size), pk.take(sent)] = share
     return ad.add(loss, ad.log_softmax_sum(z_sa, -w_sa))
 
 
-def adv_loss(zk: ad.Node, utt_valid: np.ndarray) -> ad.Node:
+def adv_loss(zk: ad.Node, pk: interaction.Packing) -> ad.Node:
     """Discriminator log-likelihood J: per dialogue, mean log-probability
     of the true origin over the 2L feature rows (L from each stream),
-    then batch-mean. ``zk`` is the (2*L*B, 2) logits output of
-    ``heads.discriminate_steps``. Maximization ascends it, minimization
-    descends it."""
-    B = utt_valid.shape[0]
-    lengths = utt_valid.sum(axis=1, keepdims=True)
-    w = _position_major(np.where(utt_valid, 1.0 / (2.0 * lengths * B), 0.0))
+    then batch-mean. ``zk`` is the (2N, 2) logits output of
+    ``heads.discriminate_steps`` over the rows of the packing ``pk``.
+    Maximization ascends it, minimization descends it."""
+    w = 0.5 * _row_shares(pk)
     # row 2r + i is row r of stream i, whose true class is i
     weights = np.zeros((2 * w.size, heads.N_TASKS))
     weights[0::2, 0] = w
@@ -269,40 +269,44 @@ def adv_loss(zk: ad.Node, utt_valid: np.ndarray) -> ad.Node:
 def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
                  train_mode: bool = False, drop_rng=None):
     """Full task forward on one batch. Returns (loss, z_m, z_sa): z_m
-    holds the (B, 3) satisfaction logits, z_sa the (L*B, 3)
-    position-major sentiment logits, or None without the auxiliary
-    head."""
-    B, L, _ = batch.ids.shape
+    holds the (B, 3) satisfaction logits in batch order, z_sa the (N, 3)
+    sentiment logits of the rows of ``interaction.pack(batch.utt_valid)``,
+    or None without the auxiliary head."""
+    pk = interaction.pack(batch.utt_valid)
     rate = cfg.dropout if train_mode else 0.0
-    V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, rate, drop_rng)
-    H_m, H_a = interaction.run_interaction(P, V, batch.turn, B, L, cfg.K,
-                                           cfg.use_st, cfg.use_aux)
+    V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, pk.rows, rate,
+                            drop_rng)
+    H_m, H_a = interaction.run_interaction(P, V, pk.take(batch.turn), pk.counts,
+                                           cfg.K, cfg.use_st, cfg.use_aux)
     keep = (batch.is_user & batch.utt_valid) if cfg.use_mask else batch.utt_valid
-    z_m, _ = heads.use_decode_steps(P, H_m, keep, batch.utt_valid.sum(axis=1) - 1)
+    z_m, _ = heads.use_decode_steps(P, H_m, keep[pk.order], pk.counts)
+    # packed dialogue order back to batch order
+    z_m = ad.gather_rows(z_m, np.argsort(pk.order))
     z_sa = heads.sa_decode(P, H_a) if cfg.use_aux else None
-    loss = task_loss(z_m, batch.sat, z_sa, batch.sent, batch.utt_valid,
-                     cfg.use_aux)
+    loss = task_loss(z_m, batch.sat, z_sa, batch.sent, pk, cfg.use_aux)
     return loss, z_m, z_sa
 
 
 def forward_discriminator(P: dict, batch: cp.Batch, cfg: ModelConfig,
-                          train_mode: bool = False, drop_rng=None):
+                          pk: interaction.Packing, train_mode: bool = False,
+                          drop_rng=None):
     """Encoder, both dense projections, and the discriminator over both
-    streams. Returns the (2*L*B, 2) origin logits: row 2r + i is
-    position-major row r of stream i."""
-    B, L, _ = batch.ids.shape
+    streams. Returns the (2N, 2) origin logits: row 2r + i is row r of
+    the batch's packing ``pk`` in stream i."""
     rate = cfg.dropout if train_mode else 0.0
-    V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, rate, drop_rng)
+    V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, pk.rows, rate,
+                            drop_rng)
     X_m = interaction.project(P, V, "m")
     X_a = interaction.project(P, V, "a")
-    return heads.discriminate_steps(P, X_m, X_a, B, L, cfg.K)
+    return heads.discriminate_steps(P, X_m, X_a, pk.counts, cfg.K)
 
 
 def forward_adv(P: dict, batch: cp.Batch, cfg: ModelConfig,
                 train_mode: bool = False, drop_rng=None) -> ad.Node:
     """Adversarial objective J on one batch."""
-    zk = forward_discriminator(P, batch, cfg, train_mode, drop_rng)
-    return adv_loss(zk, batch.utt_valid)
+    pk = interaction.pack(batch.utt_valid)
+    zk = forward_discriminator(P, batch, cfg, pk, train_mode, drop_rng)
+    return adv_loss(zk, pk)
 
 
 def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
@@ -315,12 +319,12 @@ def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
     correct = 0
     total = 0
     for _, batch in _length_sorted_batches(dialogues, vocab, cfg.batch):
-        zk = forward_discriminator(as_leaves(params), batch, cfg).value
-        valid = _position_major(batch.utt_valid)[:, None]
+        zk = forward_discriminator(as_leaves(params), batch, cfg,
+                                   interaction.pack(batch.utt_valid)).value
         # (row, stream) argmax classes; stream i's true class is i
         preds = np.argmax(zk, axis=1).reshape(-1, heads.N_TASKS)
-        correct += int(np.sum((preds == np.arange(heads.N_TASKS)) & valid))
-        total += heads.N_TASKS * int(np.sum(valid))
+        correct += int(np.sum(preds == np.arange(heads.N_TASKS)))
+        total += preds.size
     if total == 0:
         raise ValueError("discriminator_accuracy: no utterance to score")
     return correct / total
@@ -503,8 +507,11 @@ def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,
         _, z_m, z_sa = forward_task(P, batch, cfg, train_mode=False)
         use_preds[indices] = np.argmax(z_m.value, axis=1)
         if cfg.use_aux:
-            # position-major rows back to the (B, L) grid, one row a dialogue
-            preds = np.argmax(z_sa.value, axis=1).reshape(-1, batch.size).T
+            # packed rows back to the (B, L) grid, one row a dialogue
+            rows = interaction.pack(batch.utt_valid).rows
+            grid = np.zeros(batch.utt_valid.size, dtype=np.intp)
+            grid[rows] = np.argmax(z_sa.value, axis=1)
+            preds = grid.reshape(-1, batch.size).T
             for i, row, valid in zip(indices, preds, batch.utt_valid):
                 sa_rows[i] = row[valid].tolist()
     sa_preds = [p for row in sa_rows for p in row] if cfg.use_aux else None

@@ -88,7 +88,7 @@ def test_criterion_2_exactness_fixtures():
     leaves = {k: ad.leaf(v) for k, v in P.items()}
     states = ad.constant(rng.normal(size=(L, K)))
     keep = np.array([[True, False, True, False, True]])
-    _, alpha = hd.use_decode_steps(leaves, states, keep, np.array([L - 1]))
+    _, alpha = hd.use_decode_steps(leaves, states, keep, [1] * L)
     assert alpha.value[0, 1] == 0.0 and alpha.value[0, 3] == 0.0
     assert abs(alpha.value[0, [0, 2, 4]].sum() - 1.0) <= 1e-12
 
@@ -108,7 +108,7 @@ def test_criterion_2_exactness_fixtures():
     # equal satisfaction logits (uniform probabilities) score ln 3
     z_m = ad.constant(np.zeros((1, 3)))
     loss = tr.task_loss(z_m, np.array([2]), None, None,
-                        np.array([[True]]), use_aux=False)
+                        it.pack(np.array([[True]])), use_aux=False)
     assert loss.value[0, 0] == pytest.approx(math.log(3.0), abs=1e-12)
 
     # learning-rate schedule decays geometrically
@@ -160,8 +160,8 @@ def test_criterion_3_oracle_equivalence():
     V = rng.normal(size=(L, 2 * E)) * 0.5
     flags = [1, 0, 1]
     leaves = {k: ad.leaf(v) for k, v in P.items()}
-    H_m, H_a = it.run_interaction(leaves, ad.constant(V), np.array([flags]),
-                                  1, L, K, use_st=True, use_aux=True)
+    H_m, H_a = it.run_interaction(leaves, ad.constant(V), np.array(flags),
+                                  [1] * L, K, use_st=True, use_aux=True)
     for x_ref, H, prefix in (
             (np.tanh(V @ P["proj.m.W"] + P["proj.m.b"]), H_m, "gru_m"),
             (np.tanh(V @ P["proj.a.W"] + P["proj.a.b"]), H_a, "gru_a")):

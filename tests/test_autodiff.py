@@ -316,14 +316,14 @@ def test_dropout_contracts():
          for name, shape in enc.param_specs(10, 5, 4)}
     ids = np.full((8, 1, 3), 2, dtype=np.intp)
     mask = np.ones((8, 1, 3), dtype=bool)
-    plain = enc.encode_grid(P, ids, mask, E=4).value
-    same = enc.encode_grid(P, ids, mask, E=4, dropout_rate=0.0, rng=rng).value
+    plain = enc.encode_grid(P, ids, mask, 4, np.arange(8)).value
+    same = enc.encode_grid(P, ids, mask, 4, np.arange(8), dropout_rate=0.0, rng=rng).value
     assert np.array_equal(same, plain)
-    kept = enc.encode_grid(P, ids, mask, E=4, dropout_rate=0.2, rng=rng).value
+    kept = enc.encode_grid(P, ids, mask, 4, np.arange(8), dropout_rate=0.2, rng=rng).value
     assert np.all((kept == 0.0) | (kept == plain * (1.0 / (1.0 - 0.2))))
     assert np.any(kept != 0.0) and np.any(kept == 0.0)
     with pytest.raises(ad.ContractError):
-        enc.encode_grid(P, ids, mask, E=4, dropout_rate=1.0, rng=rng)
+        enc.encode_grid(P, ids, mask, 4, np.arange(8), dropout_rate=1.0, rng=rng)
 
 
 @pytest.mark.parametrize("width, ids, second", [

@@ -22,10 +22,16 @@ def as_leaves(params):
     return {k: ad.leaf(v) for k, v in params.items()}
 
 
+def encode(P, ids, mask, E, **kw):
+    """Every row of the (B, L, T) grid, in grid order."""
+    B, L, _ = ids.shape
+    return enc.encode_grid(P, ids, mask, E, np.arange(L * B), **kw)
+
+
 def encode_one(P, token_ids, token_mask, E):
     """One utterance to one (1, 2E) vector through the batched encoder."""
-    return enc.encode_grid(P, np.array([[token_ids]], dtype=np.intp),
-                           np.array([[token_mask]], dtype=bool), E)
+    return encode(P, np.array([[token_ids]], dtype=np.intp),
+                  np.array([[token_mask]], dtype=bool), E)
 
 
 def test_zero_parameters_give_zero_vector():
@@ -72,7 +78,7 @@ def test_grid_matches_per_utterance_oracle():
     params = make_params(10, 5, 4, seed=4)
     dialogues = [[[2, 3, 4], [5, 6]], [[7, 8, 9, 2]]]
     ids, mask = grid_of(dialogues, T=4)
-    V = enc.encode_grid(as_leaves(params), ids, mask, E=4)
+    V = encode(as_leaves(params), ids, mask, E=4)
     B, L = 2, 2
     for b, d in enumerate(dialogues):
         for t, utt in enumerate(d):
@@ -87,10 +93,10 @@ def test_batch_of_two_equals_two_batches_of_one():
     params = make_params(10, 5, 4, seed=5)
     d1, d2 = [[2, 3, 4], [5, 6]], [[7, 8], [9, 2], [3, 4]]
     ids, mask = grid_of([d1, d2], T=3)
-    V = enc.encode_grid(as_leaves(params), ids, mask, E=4)
+    V = encode(as_leaves(params), ids, mask, E=4)
     for b, d in enumerate((d1, d2)):
         ids1, mask1 = grid_of([d], T=3)
-        V1 = enc.encode_grid(as_leaves(params), ids1, mask1, E=4)
+        V1 = encode(as_leaves(params), ids1, mask1, E=4)
         for t in range(len(d)):
             assert np.max(np.abs(V.value[t * 2 + b] - V1.value[t])) <= 1e-10
 
@@ -100,8 +106,8 @@ def test_permuting_dialogues_permutes_outputs():
     d1, d2 = [[2, 3], [4, 5]], [[6, 7], [8, 9]]
     ids_a, mask_a = grid_of([d1, d2], T=2)
     ids_b, mask_b = grid_of([d2, d1], T=2)
-    Va = enc.encode_grid(as_leaves(params), ids_a, mask_a, E=4).value
-    Vb = enc.encode_grid(as_leaves(params), ids_b, mask_b, E=4).value
+    Va = encode(as_leaves(params), ids_a, mask_a, E=4).value
+    Vb = encode(as_leaves(params), ids_b, mask_b, E=4).value
     for t in range(2):
         assert np.array_equal(Va[t * 2 + 0], Vb[t * 2 + 1])
         assert np.array_equal(Va[t * 2 + 1], Vb[t * 2 + 0])
@@ -133,7 +139,7 @@ def test_packed_grid_matches_oracle_on_ragged_grids(case):
     ids, mask, perm = case
     B, L, T = ids.shape
     params = make_params(VOCAB, 5, 4, seed=15)
-    V = enc.encode_grid(as_leaves(params), ids, mask, E=4).value
+    V = encode(as_leaves(params), ids, mask, E=4).value
     for b in range(B):
         for t in range(L):
             n = int(mask[b, t].sum())
@@ -145,7 +151,7 @@ def test_packed_grid_matches_oracle_on_ragged_grids(case):
 
     # cell c = b * L + t of the permuted grid holds cell perm[c]
     shuffled = [a.reshape(B * L, T)[perm].reshape(B, L, T) for a in (ids, mask)]
-    Vp = enc.encode_grid(as_leaves(params), *shuffled, E=4).value
+    Vp = encode(as_leaves(params), *shuffled, E=4).value
     real = mask.reshape(B * L, T).any(axis=1)
     for c, src in enumerate(perm):
         got, want = Vp[(c % L) * B + c // L], V[(src % L) * B + src // L]
@@ -155,26 +161,41 @@ def test_packed_grid_matches_oracle_on_ragged_grids(case):
             assert np.all(got == 0.0)
 
 
+def test_asked_rows_are_grid_rows_under_the_grid_dropout_draw():
+    """``rows`` picks and orders grid rows, pad rows included, and dropout
+    is drawn over the whole grid, so each row keeps its grid-order mask."""
+    params = make_params(10, 5, 4, seed=17)
+    ids, mask = grid_of([[[2, 3, 4], [5, 6]], [[7, 8]]], T=3)
+    rows = np.array([3, 0, 2])  # row 3 is the second dialogue's padding
+    for rate in (0.0, 0.5):
+        full = encode(as_leaves(params), ids, mask, E=4, dropout_rate=rate,
+                      rng=np.random.default_rng(3)).value
+        some = enc.encode_grid(as_leaves(params), ids, mask, 4, rows, dropout_rate=rate,
+                               rng=np.random.default_rng(3)).value
+        assert np.array_equal(some, full[rows])
+    assert np.all(some[0] == 0.0)
+
+
 def test_inner_padding_rejected():
     params = make_params(6, 4, 3, seed=16)
     ids, mask = grid_of([[[2, 3, 4]]], T=3)
     mask[0, 0, 1] = False
     with pytest.raises(ad.ContractError, match="trailing"):
-        enc.encode_grid(as_leaves(params), ids, mask, E=3)
+        encode(as_leaves(params), ids, mask, E=3)
 
 
 def test_single_utterance_dialogue_has_one_row():
     params = make_params(6, 4, 3, seed=7)
     ids, mask = grid_of([[[2, 3]]], T=2)
-    V = enc.encode_grid(as_leaves(params), ids, mask, E=3)
+    V = encode(as_leaves(params), ids, mask, E=3)
     assert V.value.shape == (1, 6)
 
 
 def test_eval_mode_is_pure():
     params = make_params(10, 5, 4, seed=8)
     ids, mask = grid_of([[[2, 3, 4], [5, 6]]], T=3)
-    a = enc.encode_grid(as_leaves(params), ids, mask, E=4).value
-    b = enc.encode_grid(as_leaves(params), ids, mask, E=4).value
+    a = encode(as_leaves(params), ids, mask, E=4).value
+    b = encode(as_leaves(params), ids, mask, E=4).value
     assert np.array_equal(a, b)
 
 
@@ -182,10 +203,10 @@ def test_dropout_masks_some_entries_and_needs_rng():
     params = make_params(10, 5, 4, seed=9)
     ids, mask = grid_of([[[2, 3, 4], [5, 6]]] * 8, T=3)
     rng = np.random.default_rng(0)
-    V = enc.encode_grid(as_leaves(params), ids, mask, E=4, dropout_rate=0.5, rng=rng)
+    V = encode(as_leaves(params), ids, mask, E=4, dropout_rate=0.5, rng=rng)
     assert np.sum(V.value == 0.0) > 0
     with pytest.raises(ad.ContractError):
-        enc.encode_grid(as_leaves(params), ids, mask, E=4, dropout_rate=0.5)
+        encode(as_leaves(params), ids, mask, E=4, dropout_rate=0.5)
 
 
 def test_gradients_match_finite_differences():
@@ -196,13 +217,13 @@ def test_gradients_match_finite_differences():
     weight = np.random.default_rng(11).normal(size=(2, 8))
 
     def loss_value():
-        V = enc.encode_grid(as_leaves(params), ids, mask, E=4)
+        V = encode(as_leaves(params), ids, mask, E=4)
         return float(np.sum(V.value * weight))
 
     names = sorted(params)
     leaves = as_leaves(params)
     with ad.Tape() as tape:
-        V = enc.encode_grid(leaves, ids, mask, E=4)
+        V = encode(leaves, ids, mask, E=4)
         tape.backward(sum_all(ad.hadamard(V, ad.constant(weight))))
     numeric = numeric_grad(loss_value, [params[n] for n in names])
     for name, want in zip(names, numeric):
@@ -226,12 +247,12 @@ def test_repeated_token_gradients_match_finite_differences():
     names = ["enc.emb", "enc.lstm_f.W", "enc.lstm_b.W"]
 
     def loss_value():
-        V = enc.encode_grid(as_leaves(params), ids, mask, E=3)
+        V = encode(as_leaves(params), ids, mask, E=3)
         return float(np.sum(V.value * weight))
 
     leaves = as_leaves(params)
     with ad.Tape() as tape:
-        V = enc.encode_grid(leaves, ids, mask, E=3)
+        V = encode(leaves, ids, mask, E=3)
         tape.backward(sum_all(ad.hadamard(V, ad.constant(weight))))
     numeric = numeric_grad(loss_value, [params[n] for n in names])
     for name, want in zip(names, numeric):

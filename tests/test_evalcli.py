@@ -186,6 +186,14 @@ def test_load_config_rejects_bad_lines(tmp_path, line, fragment):
         ev.load_config(path)
 
 
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("lr=0.1\nK=8\nlr=0.5\n")
+    with pytest.raises(ValueError) as err:
+        ev.load_config(path)
+    assert str(err.value) == f"{path}: line 3: duplicate key 'lr' (first on line 1)"
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     import argparse
     path = tmp_path / "run.cfg"

@@ -32,14 +32,14 @@ def use_decode(P, H_m, roles, use_mask=True):
     """One dialogue: H_m is its (L, K) state node, roles the matching
     speakers."""
     keep = np.array([[r == "user" or not use_mask for r in roles]])
-    return hd.use_decode_steps(P, H_m, keep, np.array([len(roles) - 1]))
+    return hd.use_decode_steps(P, H_m, keep, [1] * len(roles))
 
 
 def discriminate(P, X_m, X_a, K):
     """One dialogue: X_m and X_a are (L, K) streams, one utterance per
     row. Returns the (2L, 2) logits node: row 2t + i is step t of stream
     i."""
-    return hd.discriminate_steps(P, X_m, X_a, 1, X_m.value.shape[0], K)
+    return hd.discriminate_steps(P, X_m, X_a, [1] * X_m.value.shape[0], K)
 
 
 def test_param_specs_gate_heads():
@@ -168,7 +168,7 @@ def test_discriminator_batch_rows_are_independent():
     rng = np.random.default_rng(21)
     X_m, X_a = rng.normal(size=(2, L * B, K))
     logits = hd.discriminate_steps(as_leaves(P), ad.constant(X_m), ad.constant(X_a),
-                                   B, L, K)
+                                   [B] * L, K)
     # row r of both streams side by side
     probs = softmax(logits.value).reshape(L * B, 2 * hd.N_TASKS)
     for b in range(B):
@@ -187,7 +187,7 @@ def test_stacked_discriminator_equals_two_per_stream_runs():
     X_m, X_a, X_other = np.random.default_rng(27).normal(size=(3, L * B, K))
     leaves = as_leaves(P)
     probs = softmax(hd.discriminate_steps(leaves, ad.constant(X_m), ad.constant(X_a),
-                                          B, L, K).value)
+                                          [B] * L, K).value)
     for s, X in enumerate((X_m, X_a)):
         H = ad.gru_seq(ad.matmul(ad.constant(X), it.gates(leaves, "td", "W")),
                        it.gates(leaves, "td", "U"), it.gates(leaves, "td", "b"),
@@ -196,9 +196,9 @@ def test_stacked_discriminator_equals_two_per_stream_runs():
                                    leaves["td.b_o"]).value)
         assert np.max(np.abs(probs[s::2] - want)) <= 1e-12
     swapped_a = softmax(hd.discriminate_steps(leaves, ad.constant(X_m),
-                                              ad.constant(X_other), B, L, K).value)
+                                              ad.constant(X_other), [B] * L, K).value)
     swapped_m = softmax(hd.discriminate_steps(leaves, ad.constant(X_other),
-                                              ad.constant(X_a), B, L, K).value)
+                                              ad.constant(X_a), [B] * L, K).value)
     assert np.array_equal(swapped_a[0::2], probs[0::2])
     assert np.array_equal(swapped_m[1::2], probs[1::2])
 
@@ -209,14 +209,14 @@ def test_use_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     states = rng.normal(size=(L, B, K)) * 0.5
     keep = np.array([[True, False, True], [True, True, False]])
-    last = np.array([2, 1])
+    counts = [2, 2, 1]  # dialogue 0 runs three steps, dialogue 1 two
     target = np.zeros((B, hd.N_SAT))
     target[0, 1] = 1.0
     target[1, 2] = 1.0
 
     def build(leaves):
-        H_m = ad.constant(states.reshape(L * B, K))
-        z_m, _ = hd.use_decode_steps(leaves, H_m, keep, last)
+        H_m = ad.constant(states.reshape(L * B, K)[:sum(counts)])
+        z_m, _ = hd.use_decode_steps(leaves, H_m, keep, counts)
         return ad.log_softmax_sum(z_m, -target)
 
     names = sorted(P)

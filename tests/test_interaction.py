@@ -60,6 +60,21 @@ def test_projection_matches_closed_form():
     assert np.all(np.abs(X.value) < 1.0)
 
 
+def test_pack_runs_dialogues_longest_first_without_padding():
+    utt_valid = np.arange(4) < np.array([2, 4, 1, 4])[:, None]
+    pk = it.pack(utt_valid)
+    assert pk.order.tolist() == [1, 3, 0, 2]  # the tie keeps batch order
+    assert pk.counts.tolist() == [4, 3, 2, 2]
+    # grid cell t*B + b of each row: step 0 holds dialogues 1, 3, 0, 2,
+    # step 1 holds 1, 3, 0, and steps 2 and 3 hold 1, 3
+    assert pk.rows.tolist() == [1, 3, 0, 2, 5, 7, 4, 9, 11, 13, 15]
+    assert pk.take(np.arange(16).reshape(4, 4)).tolist() == [
+        4, 12, 0, 8, 5, 13, 1, 6, 14, 7, 15]
+    for bad in ([[True, False, True]], [[True], [False]]):
+        with pytest.raises(ad.ContractError, match="pack"):
+            it.pack(np.array(bad))
+
+
 def shared_gru(P, X, B, L):
     """The shared GRU over position-major X, as run_interaction runs it;
     returns the (L*B, K) states."""
@@ -165,8 +180,11 @@ def test_task_gru_with_zero_shared_weights_is_biasless_gru():
 
 
 def run_toy(P, V_val, turn, B, L, K, **kw):
+    """B dialogues of L utterances each: position-major rows are packed
+    rows, step t the B rows from t*B."""
     leaves = as_leaves(P)
-    return it.run_interaction(leaves, ad.constant(V_val), turn, B, L, K, **kw), leaves
+    return it.run_interaction(leaves, ad.constant(V_val), turn.T.reshape(-1),
+                              [B] * L, K, **kw), leaves
 
 
 def test_run_interaction_matches_dialogue_oracle():
@@ -307,7 +325,7 @@ def test_shared_gru_receives_gradient_from_both_streams():
         leaves = as_leaves(P)
         with ad.Tape() as tape:
             H_m, H_a = it.run_interaction(
-                leaves, ad.constant(V), np.zeros((1, L), dtype=int), 1, L, K,
+                leaves, ad.constant(V), np.zeros(L, dtype=int), [1] * L, K,
                 use_st=False, use_aux=True)
             H = (H_m, H_a)[task_index]
             tape.backward(sum_all(ad.gather_rows(H, [L - 1])))
@@ -331,7 +349,7 @@ def test_gradients_match_finite_differences():
 
     def build(leaves):
         H_m, H_a = it.run_interaction(
-            leaves, ad.constant(V), turn, B, L, K,
+            leaves, ad.constant(V), turn.T.reshape(-1), [B] * L, K,
             use_st=True, use_aux=True)
         final = np.arange((L - 1) * B, L * B)  # the last step's rows
         return ad.add(

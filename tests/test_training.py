@@ -2,16 +2,18 @@
 isolation, determinism, checkpoints, and batching arithmetic."""
 
 import gc
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stman.autodiff as ad
 import stman.corpus as cp
+import stman.interaction as it
 import stman.training as tr
 from testkit import softmax
 
@@ -156,9 +158,9 @@ def test_momentum_skips_absent_gradients():
 
 def logits_of(rows):
     """Logits whose row softmax is the given distributions, as one matrix:
-    log p, with -1000 for a zero probability. Per-utterance ones are
-    position-major (row t*B + b), which for one dialogue is one row per
-    step."""
+    log p, with -1000 for a zero probability. Per-utterance ones hold the
+    packed rows of the real utterances, which for one dialogue is one row
+    per utterance."""
     p = np.array(rows, dtype=np.float64)
     return ad.constant(np.log(p, out=np.full_like(p, -1000.0), where=p > 0.0))
 
@@ -172,14 +174,14 @@ def interleaved_logits(rows):
 def test_task_loss_zero_when_certain_and_right():
     z_m = logits_of([[1.0, 0.0, 0.0]])
     loss = tr.task_loss(z_m, np.array([0]), None, None,
-                        np.array([[True]]), use_aux=False)
+                        it.pack(np.array([[True]])), use_aux=False)
     assert abs(loss.value[0, 0]) <= 1e-12
 
 
 def test_task_loss_uniform_is_log3():
     z_m = logits_of([[1 / 3, 1 / 3, 1 / 3]])
     loss = tr.task_loss(z_m, np.array([2]), None, None,
-                        np.array([[True]]), use_aux=False)
+                        it.pack(np.array([[True]])), use_aux=False)
     assert loss.value[0, 0] == pytest.approx(math.log(3.0), abs=1e-12)
 
 
@@ -189,7 +191,7 @@ def test_task_loss_with_uniform_sentiments_is_two_log3():
     sa = logits_of([[1 / 3] * 3] * L)
     loss = tr.task_loss(z_m, np.array([1]), sa,
                         np.zeros((1, L), dtype=int),
-                        np.ones((1, L), dtype=bool), use_aux=True)
+                        it.pack(np.ones((1, L), dtype=bool)), use_aux=True)
     assert loss.value[0, 0] == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
 
 
@@ -197,7 +199,7 @@ def test_task_loss_mixed_fixture():
     z_m = logits_of([[0.5, 0.25, 0.25]])
     sa = logits_of([[0.25, 0.5, 0.25], [0.2, 0.2, 0.6]])
     loss = tr.task_loss(z_m, np.array([0]), sa, np.array([[1, 2]]),
-                        np.ones((1, 2), dtype=bool), use_aux=True)
+                        it.pack(np.ones((1, 2), dtype=bool)), use_aux=True)
     want = -math.log(0.5) + 0.5 * (-math.log(0.5) - math.log(0.6))
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
 
@@ -205,41 +207,49 @@ def test_task_loss_mixed_fixture():
 def test_task_loss_batch_is_dialogue_mean():
     z_m = logits_of([[0.5, 0.25, 0.25], [0.1, 0.8, 0.1]])
     loss = tr.task_loss(z_m, np.array([0, 1]), None, None,
-                        np.ones((2, 1), dtype=bool), use_aux=False)
+                        it.pack(np.ones((2, 1), dtype=bool)), use_aux=False)
     want = 0.5 * (-math.log(0.5) - math.log(0.8))
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_task_loss_ignores_padded_sentiment_rows():
+    """A padded utterance has no logit row, and its grid cell's class is
+    never read; logits that carry a row for it are rejected."""
     z_m = logits_of([[1.0, 0.0, 0.0]])
-    sa = logits_of([[0.5, 0.3, 0.2], [1e-30, 1.0, 0.0]])
-    valid = np.array([[True, False]])
-    loss = tr.task_loss(z_m, np.array([0]), sa, np.array([[0, 0]]),
-                        valid, use_aux=True)
+    sa = logits_of([[0.5, 0.3, 0.2]])
+    pk = it.pack(np.array([[True, False]]))
+    loss = tr.task_loss(z_m, np.array([0]), sa, np.array([[0, 2]]), pk, use_aux=True)
     assert loss.value[0, 0] == pytest.approx(-math.log(0.5), abs=1e-12)
+    with pytest.raises(ad.ShapeError):
+        tr.task_loss(z_m, np.array([0]), logits_of([[0.5, 0.3, 0.2], [1e-30, 1.0, 0.0]]),
+                     np.array([[0, 0]]), pk, use_aux=True)
 
 
 def test_adv_loss_perfect_discrimination_is_zero():
     zk = interleaved_logits([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
-    j = tr.adv_loss(zk, np.ones((1, 2), dtype=bool))
+    j = tr.adv_loss(zk, it.pack(np.ones((1, 2), dtype=bool)))
     assert abs(j.value[0, 0]) <= 1e-12
 
 
 def test_adv_loss_coin_flip_is_minus_log2():
     zk = interleaved_logits([[0.5, 0.5, 0.5, 0.5]])
-    j = tr.adv_loss(zk, np.ones((1, 1), dtype=bool))
+    j = tr.adv_loss(zk, it.pack(np.ones((1, 1), dtype=bool)))
     assert j.value[0, 0] == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_adv_loss_mixed_fixture_and_padding():
     # each row: stream m's two classes, then stream a's
     zk = interleaved_logits([[0.9, 0.1, 0.3, 0.7], [0.8, 0.2, 0.4, 0.6]])
-    j = tr.adv_loss(zk, np.ones((1, 2), dtype=bool))
+    j = tr.adv_loss(zk, it.pack(np.ones((1, 2), dtype=bool)))
     want = (math.log(0.9) + math.log(0.8) + math.log(0.7) + math.log(0.6)) / 4.0
     assert j.value[0, 0] == pytest.approx(want, abs=1e-12)
-    j_pad = tr.adv_loss(zk, np.array([[True, False]]))
+    # a padded utterance has no row
+    j_pad = tr.adv_loss(interleaved_logits([[0.9, 0.1, 0.3, 0.7]]),
+                        it.pack(np.array([[True, False]])))
     want_pad = (math.log(0.9) + math.log(0.7)) / 2.0
     assert j_pad.value[0, 0] == pytest.approx(want_pad, abs=1e-12)
+    with pytest.raises(ad.ShapeError):
+        tr.adv_loss(zk, it.pack(np.array([[True, False]])))
 
 
 # --------------------------------------------------------- batched forwards
@@ -281,22 +291,97 @@ utterances = st.builds(
     st.sampled_from(cp.SENTIMENTS))
 dialogue_batches = st.lists(
     st.builds(cp.Dialogue, st.just("d"), st.sampled_from(cp.SATISFACTIONS),
-              st.lists(utterances, min_size=1, max_size=4)),
-    min_size=1, max_size=4)
+              st.lists(utterances, min_size=1, max_size=7)),
+    min_size=1, max_size=8)
+
+
+def dialogues_of_lengths(lengths):
+    mk = cp.Utterance
+    return [cp.Dialogue(f"d{i}", cp.SATISFACTIONS[i % 3],
+                        [mk(cp.SPEAKERS[(i + t) % 2], ["a", "b", "c"][: 1 + (i + t) % 3],
+                            cp.SENTIMENTS[t % 3]) for t in range(n)])
+            for i, n in enumerate(lengths)]
+
+
+FLAG_SETS = [dict(zip(("use_td", "use_st", "use_mask", "use_aux"), flags))
+             for flags in itertools.product((False, True), repeat=4)]
 
 
 @settings(max_examples=12, deadline=None)
 @given(dialogue_batches, st.integers(0, 2**16))
+@example(dialogues_of_lengths([2, 5, 1, 5, 3, 1, 7, 2]), 0)
 def test_batched_losses_are_mean_of_singles_on_random_batches(dialogues, seed):
+    """The batch packs its dialogues longest first (unsorted lengths,
+    ties, single utterances); under every variant flag set, the batched
+    task loss and adversarial objective, and each parameter's gradient
+    of them, equal the mean over the single-dialogue batches."""
     vocab = cp.build_vocab(dialogues, min_count=1)
-    cfg = small_config(seed=seed)
-    params = tr.init_params(cfg, len(vocab))
     (batch,) = cp.batchify(dialogues, vocab, len(dialogues))
     singles = [cp.batchify([d], vocab, 1)[0] for d in dialogues]
-    for forward in (lambda b: tr.forward_task(tr.as_leaves(params), b, cfg)[0],
-                    lambda b: tr.forward_adv(tr.as_leaves(params), b, cfg)):
-        want = np.mean([forward(b).value[0, 0] for b in singles])
-        assert abs(forward(batch).value[0, 0] - want) <= 1e-10
+    for flags in FLAG_SETS:
+        cfg = small_config(seed=seed, **flags)
+        params = tr.init_params(cfg, len(vocab))
+        forwards = [lambda P, b: tr.forward_task(P, b, cfg)[0]]
+        if cfg.use_td:
+            forwards.append(lambda P, b: tr.forward_adv(P, b, cfg))
+        for forward in forwards:
+            grads, value = tr._grads_of(params, lambda P: forward(P, batch))
+            runs = [tr._grads_of(params, lambda P: forward(P, b)) for b in singles]
+            assert abs(value - np.mean([v for _, v in runs])) <= 1e-10, flags
+            for name, arr in params.items():
+                want = np.mean([np.zeros_like(arr) if g[name] is None else g[name]
+                                for g, _ in runs], axis=0)
+                got = np.zeros_like(arr) if grads[name] is None else grads[name]
+                assert np.max(np.abs(got - want)) <= 1e-10, (flags, name)
+
+
+def test_gradient_check_passes_on_a_packed_batch():
+    """One batch of lengths 3, 1, 2, in that order: the forwards reorder
+    its dialogues and leave out its padded utterances, and both
+    objectives' gradients must still match the finite differences."""
+    dialogues = dialogues_of_lengths([3, 1, 2])
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config(K=3, Z=2, H=2, D=3, E=2)
+    assert cfg.use_td
+    worst = tr.gradient_check(cfg, dialogues, vocab)
+    assert max(worst.values()) <= 1e-4
+
+
+def test_training_step_runs_the_recurrences_on_real_utterances_only(monkeypatch):
+    """In one training step every interaction GRU runs one row per real
+    utterance and the discriminator one per real utterance and stream,
+    while dropout is still drawn over the whole padded (L*B, 2E) grid."""
+    dialogues = dialogues_of_lengths([3, 1, 2])
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config(dropout=0.2, batch=4)
+    params = tr.init_params(cfg, len(vocab))
+    velocities = {n: np.zeros_like(a) for n, a in params.items()}
+    rows = []
+    real_gru = ad.gru_seq
+
+    def spy_gru(XW, U, b, counts):
+        rows.append(int(np.sum(counts)))
+        return real_gru(XW, U, b, counts)
+
+    class SpyRng:
+        def __init__(self):
+            self.rng = np.random.default_rng(1)
+            self.shapes = []
+
+        def random(self, shape):
+            self.shapes.append(shape)
+            return self.rng.random(shape)
+
+    drop_rng = SpyRng()
+    monkeypatch.setattr(ad, "gru_seq", spy_gru)
+    tr.train_epoch(params, velocities, dialogues, {d.id for d in dialogues},
+                   vocab, cfg, epoch=0, shuffle_rng=np.random.default_rng(0),
+                   drop_rng=drop_rng)
+    real = 3 + 1 + 2
+    # Phase 1 descent and ascent: the discriminator; Phase 2: the shared
+    # and private GRUs of both streams
+    assert rows == [2 * real, 2 * real] + [real] * 4
+    assert drop_rng.shapes == [(3 * 3, 2 * cfg.E)] * 3
 
 
 def test_zero_parameters_predict_exactly_uniform():
