@@ -15,6 +15,7 @@ reserved (UNK and PAD) and never written to the file.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import random
@@ -60,11 +61,28 @@ PAD_ID = 1
 
 
 class ParseError(ValueError):
-    """Corpus file violation; message carries the 1-based line number."""
+    """Corpus or vocabulary file violation. The message carries the
+    1-based line number and, once the reader has set ``path``, the file."""
 
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(line, message)
         self.line = line
+        self.message = message
+        self.path = None
+
+    def __str__(self) -> str:
+        where = "" if self.path is None else f"{self.path}: "
+        return f"{where}line {self.line}: {self.message}"
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """A ParseError raised in the block names ``path``."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.path = os.fspath(path)
+        raise
 
 
 def canonical_satisfaction(sentiment: str) -> str:
@@ -119,7 +137,7 @@ def _check_label(value, allowed: tuple, what: str, line: int) -> str:
 def parse_corpus(path) -> list[Dialogue]:
     dialogues = []
     first_line: dict[str, int] = {}  # id -> line it first appeared on
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _naming(path):
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
@@ -254,7 +272,7 @@ def load_vocab(path) -> Vocabulary:
     mapping = {}
     first_line = {}
     id_line = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _naming(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -404,41 +422,92 @@ class Batch:
         return self.ids.shape[0]
 
 
-def _encode_batch(chunk: list[Dialogue], vocab: Vocabulary) -> Batch:
-    B = len(chunk)
-    L = max(len(d.utterances) for d in chunk)
-    T = max(len(u.tokens) for d in chunk for u in d.utterances)
-    ids = np.full((B, L, T), PAD_ID, dtype=np.intp)
-    tok_valid = np.zeros((B, L, T), dtype=bool)
-    utt_valid = np.zeros((B, L), dtype=bool)
-    is_user = np.zeros((B, L), dtype=bool)
-    turn = np.zeros((B, L), dtype=np.intp)
-    sent = np.zeros((B, L), dtype=np.intp)
-    sat = np.zeros(B, dtype=np.intp)
-    for b, d in enumerate(chunk):
-        utts = d.utterances
-        n = len(utts)
-        valid = np.arange(T) < np.array([len(u.tokens) for u in utts])[:, None]
-        tok_valid[b, :n] = valid
-        # a boolean mask selects cells in row-major order: utterance by
-        # utterance, token by token
-        ids[b, :n][valid] = [vocab.id_of(tok) for u in utts for tok in u.tokens]
-        utt_valid[b, :n] = True
-        is_user[b, :n] = [u.speaker == "user" for u in utts]
-        turn[b, :n] = relabel_speaker_turns(d.roles())
-        sent[b, :n] = [SENTIMENTS.index(u.sentiment) for u in utts]
-        sat[b] = SATISFACTIONS.index(d.satisfaction)
-    return Batch(ids, tok_valid, utt_valid, is_user, turn, sent, sat,
-                 [d.id for d in chunk])
+def _grid(shape: tuple, cells: np.ndarray, values, fill=0) -> np.ndarray:
+    """A ``shape`` array of ``fill`` holding ``values`` at the flat
+    ``cells``, in the dtype of ``values``."""
+    values = np.asarray(values)
+    out = np.full(shape, fill, dtype=values.dtype)
+    out.reshape(-1)[cells] = values  # a view: the array is contiguous
+    return out
 
 
 def batchify(dialogues: list[Dialogue], vocab: Vocabulary,
              batch_size: int) -> list[Batch]:
     """Consecutive fixed-size batches (last one may be short). Ordering is
-    the caller's job; this function never shuffles."""
+    the caller's job; this function never shuffles.
+
+    The dialogues are flattened once per call, in one pass that visits
+    each utterance once: the tokens go into one flat list that is mapped
+    to ids by one dict lookup per token, and each utterance and each
+    dialogue becomes an entry of flat arrays. A batch's grids are then
+    filled from slices of those arrays with one fancy-index assignment
+    each. A dialogue without utterances, an utterance without tokens or
+    an unknown label is a ValueError that names the dialogue (and the
+    utterance without tokens)."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return [
-        _encode_batch(dialogues[i : i + batch_size], vocab)
-        for i in range(0, len(dialogues), batch_size)
-    ]
+    role_index = {s: i for i, s in enumerate(SPEAKERS)}
+    sent_index = {s: i for i, s in enumerate(SENTIMENTS)}
+    sat_index = {s: i for i, s in enumerate(SATISFACTIONS)}
+    tokens, n_tok, roles, sents, n_utt, sats = [], [], [], [], [], []
+    try:
+        for d in dialogues:
+            n_utt.append(len(d.utterances))
+            sats.append(sat_index[d.satisfaction])
+            for u in d.utterances:
+                tokens += u.tokens
+                n_tok.append(len(u.tokens))
+                roles.append(role_index[u.speaker])
+                sents.append(sent_index[u.sentiment])
+    except KeyError as exc:
+        raise ValueError(f"dialogue {d.id!r}: unknown label {exc.args[0]!r}") from None
+    n_utt = np.array(n_utt, dtype=np.intp)
+    n_tok = np.array(n_tok, dtype=np.intp)
+    # dialogue i's utterances are entries u_off[i]:u_off[i + 1] of the
+    # per-utterance arrays, utterance u's tokens t_off[u]:t_off[u + 1]
+    # of token_ids
+    u_off = np.concatenate(([0], np.cumsum(n_utt)))
+    t_off = np.concatenate(([0], np.cumsum(n_tok)))
+    if not n_utt.all():
+        d = dialogues[np.flatnonzero(n_utt == 0)[0]]
+        raise ValueError(f"dialogue {d.id!r} has no utterances")
+    if not n_tok.all():
+        u = np.flatnonzero(n_tok == 0)[0]
+        i = np.searchsorted(u_off, u, side="right") - 1
+        raise ValueError(f"dialogue {dialogues[i].id!r}, utterance "
+                         f"{u - u_off[i]} has no tokens")
+
+    token_ids = np.fromiter(map(vocab._map.get, tokens, itertools.repeat(UNK_ID)),
+                            dtype=np.intp, count=len(tokens))
+    roles = np.array(roles, dtype=np.intp)
+    is_user = roles == role_index["user"]
+    # turn flags as relabel_speaker_turns gives them: the parity of the
+    # role changes since the dialogue's first utterance
+    flips = np.cumsum(np.diff(roles, prepend=roles[:1]) != 0, dtype=np.intp)
+    turn = (flips - np.repeat(flips[u_off[:-1]], n_utt)) & 1
+    sents = np.array(sents, dtype=np.intp)
+    sats = np.array(sats, dtype=np.intp)
+    # each utterance's dialogue and its position in it
+    owner = np.repeat(np.arange(n_utt.size), n_utt)
+    step = np.arange(roles.size) - u_off[owner]
+
+    batches = []
+    for i in range(0, len(dialogues), batch_size):
+        j = min(i + batch_size, len(dialogues))
+        u0, u1 = u_off[i], u_off[j]
+        t0, t1 = t_off[u0], t_off[u1]
+        B, L, T = j - i, n_utt[i:j].max(), n_tok[u0:u1].max()
+        # flat (B, L) cell of each utterance, and (B, L, T) cell of each token
+        cells = (owner[u0:u1] - i) * L + step[u0:u1]
+        tok_cells = (np.repeat(cells * T - (t_off[u0:u1] - t0), n_tok[u0:u1])
+                     + np.arange(t1 - t0))
+        batches.append(Batch(
+            ids=_grid((B, L, T), tok_cells, token_ids[t0:t1], PAD_ID),
+            tok_valid=_grid((B, L, T), tok_cells, True),
+            utt_valid=_grid((B, L), cells, True),
+            is_user=_grid((B, L), cells, is_user[u0:u1]),
+            turn=_grid((B, L), cells, turn[u0:u1]),
+            sent=_grid((B, L), cells, sents[u0:u1]),
+            sat=sats[i:j],
+            dialogue_ids=[d.id for d in dialogues[i:j]]))
+    return batches

@@ -42,22 +42,31 @@ __all__ = [
 
 def confusion(preds, truths, classes) -> np.ndarray:
     """Count matrix indexed [true, predicted] over an explicit ordered
-    class list; labels outside it are an error."""
+    class list; labels outside it are an error. Each label is mapped to
+    its class index by one dict lookup, and one bincount counts the
+    (true, predicted) cells."""
     index = {c: i for i, c in enumerate(classes)}
     if len(index) != len(classes):
         raise ValueError("duplicate class labels")
-    cm = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(truths, preds, strict=True):
-        if t not in index or p not in index:
-            raise ValueError(f"label outside class list: {t!r} / {p!r}")
-        cm[index[t], index[p]] += 1
-    return cm
+    if len(preds) != len(truths):
+        raise ValueError("confusion needs equal-length label sequences")
+    try:
+        t, p = (np.fromiter(map(index.__getitem__, labels), dtype=np.intp,
+                            count=len(labels)) for labels in (truths, preds))
+    except KeyError as exc:
+        raise ValueError(f"label outside class list: {exc.args[0]!r}") from None
+    k = len(classes)
+    return np.bincount(t * k + p, minlength=k * k).reshape(k, k)
 
 
 def accuracy(preds, truths) -> float:
     if len(truths) == 0 or len(preds) != len(truths):
         raise ValueError("accuracy needs equal-length non-empty sequences")
-    return sum(p == t for p, t in zip(preds, truths)) / len(truths)
+    return _accuracy(confusion(preds, truths, list(dict.fromkeys([*truths, *preds]))))
+
+
+def _accuracy(cm: np.ndarray) -> float:
+    return int(np.trace(cm)) / int(cm.sum())
 
 
 def per_class_prf(cm: np.ndarray) -> list[dict]:
@@ -88,11 +97,13 @@ def _mean_f1(prf: list[dict]) -> float:
 def score_labels(preds, truths, n_classes: int) -> dict:
     """Accuracy, macro F1, per-class precision/recall/F1 and the
     confusion matrix of labels 0..n_classes-1, from one count pass."""
-    cm = confusion(preds, truths, list(range(n_classes)))
+    if len(truths) == 0:
+        raise ValueError("score_labels needs non-empty label sequences")
+    cm = confusion(preds, truths, range(n_classes))
     prf = per_class_prf(cm)
     return {
         "n": len(truths),
-        "accuracy": accuracy(preds, truths),
+        "accuracy": _accuracy(cm),
         "macro_f1": _mean_f1(prf),
         "per_class": prf,
         "confusion": cm.tolist(),
@@ -431,7 +442,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_grad_check(args) -> int:
     cfg, dialogues, vocab = toy_setup(args.seed)
-    worst = training.gradient_check(cfg, dialogues, vocab)
+    # a shorter dialogue first: the checked batch's packing puts it after
+    # the toy dialogue and leaves out its padded utterance
+    short = cp.Dialogue("toy-000001", "unsatisfied", [
+        cp.Utterance("user", ["broken", "refund"], "negative"),
+        cp.Utterance("staff", ["checking"], "neutral"),
+    ])
+    worst = training.gradient_check(cfg, [short, *dialogues], vocab)
     overall = max(worst.values())
     for name in sorted(worst):
         print(f"{worst[name]:.3e}  {name}")

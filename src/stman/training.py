@@ -479,8 +479,9 @@ def _length_sorted_batches(dialogues: list, vocab: cp.Vocabulary, batch_size: in
     order. Neighbours in that order have nearly equal lengths, so each
     batch pads to its own dialogues' L, not to the longest of a random
     handful."""
-    order = sorted(range(len(dialogues)),
-                   key=lambda i: len(dialogues[i].utterances), reverse=True)
+    order = np.asarray(sorted(range(len(dialogues)),
+                              key=lambda i: len(dialogues[i].utterances), reverse=True),
+                       dtype=np.intp)
     start = 0
     for batch in cp.batchify([dialogues[i] for i in order], vocab, batch_size):
         yield order[start:start + batch.size], batch
@@ -496,26 +497,24 @@ def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,
 
     Batches of ``batch_size`` dialogues (default ``cfg.batch``) are
     formed in descending order of utterance count, so a batch runs only
-    as many recurrence steps as its own longest dialogue; the
-    predictions are scattered back to corpus order and equal those of
-    ``batch_size=1``."""
+    as many recurrence steps as its own longest dialogue; each batch
+    writes its predictions straight to their corpus-order positions,
+    and they equal those of ``batch_size=1``."""
+    counts = np.array([len(d.utterances) for d in dialogues], dtype=np.intp)
+    # index of each dialogue's first utterance in the flat SA predictions
+    first = np.cumsum(counts) - counts
     use_preds = np.zeros(len(dialogues), dtype=np.intp)
-    sa_rows = [None] * len(dialogues)
+    sa_preds = np.zeros(counts.sum(), dtype=np.intp)
     batch_size = cfg.batch if batch_size is None else batch_size
     for indices, batch in _length_sorted_batches(dialogues, vocab, batch_size):
         P = as_leaves(params)
         _, z_m, z_sa = forward_task(P, batch, cfg, train_mode=False)
         use_preds[indices] = np.argmax(z_m.value, axis=1)
         if cfg.use_aux:
-            # packed rows back to the (B, L) grid, one row a dialogue
-            rows = interaction.pack(batch.utt_valid).rows
-            grid = np.zeros(batch.utt_valid.size, dtype=np.intp)
-            grid[rows] = np.argmax(z_sa.value, axis=1)
-            preds = grid.reshape(-1, batch.size).T
-            for i, row, valid in zip(indices, preds, batch.utt_valid):
-                sa_rows[i] = row[valid].tolist()
-    sa_preds = [p for row in sa_rows for p in row] if cfg.use_aux else None
-    return use_preds.tolist(), sa_preds
+            # packed row = grid cell t*B + b: utterance t of dialogue b
+            step, b = np.divmod(interaction.pack(batch.utt_valid).rows, batch.size)
+            sa_preds[first[indices[b]] + step] = np.argmax(z_sa.value, axis=1)
+    return use_preds.tolist(), sa_preds.tolist() if cfg.use_aux else None
 
 
 def evaluate(params: dict, dialogues: list, vocab: cp.Vocabulary,
@@ -525,11 +524,12 @@ def evaluate(params: dict, dialogues: list, vocab: cp.Vocabulary,
     from .evalcli import score_labels
 
     use_preds, sa_preds = predict(params, dialogues, vocab, cfg)
-    use_truth = [cp.SATISFACTIONS.index(d.satisfaction) for d in dialogues]
+    sat_index = {s: i for i, s in enumerate(cp.SATISFACTIONS)}
+    use_truth = [sat_index[d.satisfaction] for d in dialogues]
     report = {"use": score_labels(use_preds, use_truth, len(cp.SATISFACTIONS))}
     if cfg.use_aux:
-        sa_truth = [cp.SENTIMENTS.index(u.sentiment)
-                    for d in dialogues for u in d.utterances]
+        sent_index = {s: i for i, s in enumerate(cp.SENTIMENTS)}
+        sa_truth = [sent_index[u.sentiment] for d in dialogues for u in d.utterances]
         report["sa"] = score_labels(sa_preds, sa_truth, len(cp.SENTIMENTS))
     return report
 

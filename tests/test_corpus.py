@@ -67,8 +67,10 @@ def test_parse_reports_line_number_of_bad_json(tmp_path):
     good = {"id": "x", "satisfaction": "met",
             "utterances": [{"speaker": "user", "tokens": ["hi"], "sentiment": "neutral"}]}
     path.write_text(json.dumps(good) + "\n{oops\n")
-    with pytest.raises(cp.ParseError, match="line 2"):
+    with pytest.raises(cp.ParseError, match="line 2") as exc:
         cp.parse_corpus(path)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"{path}: line 2: invalid JSON: ")
 
 
 def test_parse_rejects_duplicate_id_naming_both_lines(tmp_path):
@@ -230,6 +232,7 @@ def test_load_vocab_rejects_bad_id_naming_the_line(tmp_path, text, line, message
     with pytest.raises(cp.ParseError, match=message) as exc:
         cp.load_vocab(path)
     assert exc.value.line == line
+    assert str(exc.value).startswith(f"{path}: line {line}: ")
 
 
 # --------------------------------------------------------------- generator
@@ -412,14 +415,7 @@ SMALL_UTTERANCES = st.builds(cp.Utterance, st.sampled_from(cp.SPEAKERS),
                              st.sampled_from(cp.SENTIMENTS))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(cp.SATISFACTIONS),
-                          st.lists(SMALL_UTTERANCES, min_size=1, max_size=5)),
-                min_size=1, max_size=7),
-       st.integers(1, 4), st.integers(1, 3))
-def test_batchify_equals_cell_by_cell_reference(records, batch_size, min_count):
-    dialogues = [cp.Dialogue(f"d{i}", sat, utts) for i, (sat, utts) in enumerate(records)]
-    vocab = cp.build_vocab(dialogues[: len(dialogues) // 2 + 1], min_count)
+def assert_batches_equal_reference(dialogues, vocab, batch_size):
     batches = cp.batchify(dialogues, vocab, batch_size)
     chunks = [dialogues[i : i + batch_size] for i in range(0, len(dialogues), batch_size)]
     assert len(batches) == len(chunks)
@@ -429,3 +425,47 @@ def test_batchify_equals_cell_by_cell_reference(records, batch_size, min_count):
         for name in ("ids", "tok_valid", "utt_valid", "is_user", "turn", "sent", "sat"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(cp.SATISFACTIONS),
+                          st.lists(SMALL_UTTERANCES, min_size=1, max_size=5)),
+                min_size=1, max_size=7),
+       st.integers(1, 9), st.integers(1, 3))
+def test_batchify_equals_cell_by_cell_reference(records, batch_size, min_count):
+    """In the given order and in the stable descending-length order that
+    ``predict`` batches, with batch sizes up to above the dialogue count."""
+    dialogues = [cp.Dialogue(f"d{i}", sat, utts) for i, (sat, utts) in enumerate(records)]
+    vocab = cp.build_vocab(dialogues[: len(dialogues) // 2 + 1], min_count)
+    assert_batches_equal_reference(dialogues, vocab, batch_size)
+    by_length = sorted(dialogues, key=lambda d: len(d.utterances), reverse=True)
+    assert_batches_equal_reference(by_length, vocab, batch_size)
+
+
+def test_batchify_of_no_dialogue_is_empty():
+    assert cp.batchify([], cp.Vocabulary({}), 4) == []
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_batchify_rejects_a_dialogue_without_utterances(position):
+    dialogues = [make_dialogue("a"), make_dialogue("b")]
+    dialogues[position].utterances = []
+    did = dialogues[position].id
+    with pytest.raises(ValueError, match=f"dialogue '{did}' has no utterances"):
+        cp.batchify(dialogues, cp.build_vocab(dialogues), 2)
+
+
+def test_batchify_rejects_an_utterance_without_tokens():
+    rows = (("user", "x y", "neutral"), ("staff", "p", "neutral"), ("user", "z", "positive"))
+    dialogues = [make_dialogue("a", rows=rows), make_dialogue("b", rows=rows)]
+    dialogues[1].utterances[2].tokens = []
+    with pytest.raises(ValueError, match="dialogue 'b', utterance 2 has no tokens"):
+        cp.batchify(dialogues, cp.build_vocab(dialogues), 1)
+
+
+@pytest.mark.parametrize("field, value", [("speaker", "agent"), ("sentiment", "angry")])
+def test_batchify_rejects_an_unknown_label_naming_the_dialogue(field, value):
+    dialogues = [make_dialogue("a"), make_dialogue("b")]
+    setattr(dialogues[1].utterances[0], field, value)
+    with pytest.raises(ValueError, match=f"dialogue 'b': unknown label '{value}'"):
+        cp.batchify(dialogues, cp.build_vocab(dialogues), 2)

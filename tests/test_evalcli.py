@@ -78,6 +78,46 @@ def test_metrics_agree_with_counting_oracles():
             macro_f1_oracle(truths, preds, k), abs=1e-12)
 
 
+def test_score_labels_agrees_with_counting_oracles():
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        k = int(rng.integers(2, 6))
+        # a narrow label range on one side leaves classes absent from it
+        truths = rng.integers(0, int(rng.integers(1, k + 1)), size=n).tolist()
+        preds = rng.integers(int(rng.integers(0, k)), k, size=n).tolist()
+        report = ev.score_labels(preds, truths, k)
+        assert report["n"] == n
+        assert report["confusion"] == confusion_oracle(truths, preds, k)
+        assert report["accuracy"] == accuracy_oracle(truths, preds)
+        assert report["macro_f1"] == pytest.approx(
+            macro_f1_oracle(truths, preds, k), abs=1e-12)
+        assert ev.score_labels(np.array(preds), np.array(truths), k) == report
+
+
+def test_score_labels_counts_narrow_integer_dtypes_without_overflow():
+    # 19 * 20 + 19 wraps in uint8; the class indices are counted as intp
+    truths = np.array([19, 19, 0, 7], dtype=np.uint8)
+    preds = np.array([19, 3, 0, 7], dtype=np.int8)
+    report = ev.score_labels(preds, truths, 20)
+    assert report["confusion"] == confusion_oracle(truths.tolist(), preds.tolist(), 20)
+    assert report["accuracy"] == 0.75
+    mixed = ev.score_labels(preds.astype(np.int64), truths.astype(np.uint64), 20)
+    assert mixed == report
+
+
+@pytest.mark.parametrize("preds, truths, message", [
+    ([0, 3], [0, 1], "outside"),
+    ([0, 1], [0, -1], "outside"),
+    ([0, 1], [0], "equal-length"),
+    ([], [], "non-empty"),
+    ([0.5, 1], [0, 1], "outside"),
+])
+def test_score_labels_rejects_bad_label_sequences(preds, truths, message):
+    with pytest.raises(ValueError, match=message):
+        ev.score_labels(preds, truths, 3)
+
+
 def test_score_labels_is_internally_consistent():
     report = ev.score_labels([0, 1, 2, 2], [0, 1, 1, 2], 3)
     cm = np.array(report["confusion"])
@@ -417,10 +457,58 @@ def test_cli_reports_missing_files_as_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cli_grad_check_passes_at_tolerance(capsys):
+def test_cli_grad_check_passes_at_tolerance(capsys, monkeypatch):
+    checked = []
+    real_batchify = cp.batchify
+
+    def spy(*args):
+        batches = real_batchify(*args)
+        checked.extend(batches)
+        return batches
+
+    monkeypatch.setattr(cp, "batchify", spy)
     assert ev.main(["grad-check", "--seed", "0", "--tol", "1e-4"]) == 0
     out = capsys.readouterr().out
     assert "worst relative error" in out
+    # one batch whose first dialogue is the shorter: packing reorders the
+    # dialogues and leaves out a padded utterance
+    (batch,) = checked
+    lengths = batch.utt_valid.sum(axis=1)
+    assert lengths[0] < lengths[1]
+
+
+@pytest.mark.parametrize("command, args", [
+    ("train", ["--out", "model.json"]),
+    ("ablate", ["--seeds", "1"]),
+    ("sweep", ["--fractions", "0", "--seeds", "1"]),
+    ("analyze", []),
+])
+def test_cli_corpus_parse_error_names_the_file(tmp_path, capsys, command, args):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text("{not json\n")
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert ev.main([command, "--corpus", str(corpus), *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: line 1: invalid JSON: ")
+
+
+def test_cli_eval_parse_errors_name_the_file(tmp_path, capsys):
+    ckpt = str(tmp_path / "model.json")
+    tr.save_checkpoint(ckpt, *_tiny_params(), 5)
+    vocab = tmp_path / "good.vocab"
+    vocab.write_text("a\t2\nb\t3\nc\t4\n")
+    bad_vocab = tmp_path / "bad.vocab"
+    bad_vocab.write_text("a\t2\nb\n")
+    corpus = tmp_path / "c.jsonl"
+    cp.write_corpus(cp.generate_synthetic(2, 0.5, seed=1), corpus)
+    bad_corpus = tmp_path / "bad.jsonl"
+    bad_corpus.write_text(corpus.read_text() + "{not json\n")
+
+    argv = ["eval", "--ckpt", ckpt, "--split", "all"]
+    assert ev.main([*argv, "--corpus", str(corpus), "--vocab", str(bad_vocab)]) == 1
+    assert capsys.readouterr().err == f"error: {bad_vocab}: line 2: expected token<TAB>id\n"
+    assert ev.main([*argv, "--corpus", str(bad_corpus), "--vocab", str(vocab)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad_corpus}: line 3: invalid JSON: ")
+    assert ev.main([*argv, "--corpus", str(corpus), "--vocab", str(vocab)]) == 0
 
 
 # ------------------------------------------------------------- artifacts

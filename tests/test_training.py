@@ -479,6 +479,17 @@ def test_predict_rejects_batch_size_below_one(batch_size):
         tr.predict(params, dialogues, vocab, cfg, batch_size=batch_size)
 
 
+def test_train_and_predict_reject_an_utterance_without_tokens():
+    dialogues = toy_dialogues()
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    dialogues[1].utterances[1].tokens = []
+    cfg = small_config(epochs=1)
+    with pytest.raises(ValueError, match="dialogue 'd-2', utterance 1 has no tokens"):
+        tr.predict(tr.init_params(cfg, len(vocab)), dialogues, vocab, cfg)
+    with pytest.raises(ValueError, match="dialogue 'd-2', utterance 1 has no tokens"):
+        tr.train(cp.CorpusSplit(train=dialogues, dev=[], test=[]), cfg)
+
+
 def test_discriminator_accuracy_of_no_dialogue_is_an_error():
     dialogues = toy_dialogues()
     vocab = cp.build_vocab(dialogues, min_count=1)
