@@ -103,20 +103,24 @@ class Dialogue:
     satisfaction: str
     utterances: list[Utterance]
 
-    def roles(self) -> list[str]:
-        return [u.speaker for u in self.utterances]
 
-
-def relabel_speaker_turns(roles) -> list[int]:
-    """Turn flags: first is 0, and the bit flips wherever the role
-    changes from the previous utterance."""
-    roles = list(roles)
-    if not roles:
+def relabel_speaker_turns(roles, counts) -> np.ndarray:
+    """Turn flags of dialogues laid end to end: ``roles`` holds every
+    utterance's role in corpus order and ``counts`` each dialogue's
+    number of utterances. A dialogue's first flag is 0, and the flag
+    flips wherever the role differs from the previous utterance's."""
+    roles = np.asarray(roles)
+    counts = np.asarray(counts, dtype=np.intp)
+    if roles.size == 0:
         raise ValueError("relabel_speaker_turns: empty role sequence")
-    flags = [0]
-    for prev, cur in zip(roles, roles[1:]):
-        flags.append(flags[-1] ^ (prev != cur))
-    return flags
+    if counts.sum() != roles.size or (counts < 1).any():
+        raise ValueError(f"relabel_speaker_turns: counts must be >= 1 and sum "
+                         f"to the number of roles, {roles.size}")
+    # the parity of the role changes since the first utterance, less
+    # those before the dialogue's own first utterance
+    flips = np.zeros(roles.size, dtype=np.intp)
+    np.cumsum(roles[1:] != roles[:-1], out=flips[1:])
+    return (flips - np.repeat(flips[np.cumsum(counts) - counts], counts)) & 1
 
 
 # ----------------------------------------------------------------- parsing
@@ -129,9 +133,11 @@ def _field(obj: dict, key: str, line: int):
 
 
 def _check_label(value, allowed: tuple, what: str, line: int) -> str:
+    """The ``allowed`` constant equal to ``value``, so that a parsed corpus
+    holds one string object per label, not one per occurrence."""
     if value not in allowed:
         raise ParseError(line, f"unknown {what} {value!r}; allowed: {{{', '.join(allowed)}}}")
-    return value
+    return allowed[allowed.index(value)]
 
 
 def parse_corpus(path) -> list[Dialogue]:
@@ -231,12 +237,6 @@ class Vocabulary:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate ids in vocabulary")
         self._map = dict(token_to_id)
-
-    def id_of(self, token: str) -> int:
-        return self._map.get(token, UNK_ID)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._map
 
     def __len__(self) -> int:
         # table size: reserved rows plus assigned ids
@@ -446,6 +446,8 @@ def batchify(dialogues: list[Dialogue], vocab: Vocabulary,
     utterance without tokens)."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not dialogues:
+        return []
     role_index = {s: i for i, s in enumerate(SPEAKERS)}
     sent_index = {s: i for i, s in enumerate(SENTIMENTS)}
     sat_index = {s: i for i, s in enumerate(SATISFACTIONS)}
@@ -481,10 +483,7 @@ def batchify(dialogues: list[Dialogue], vocab: Vocabulary,
                             dtype=np.intp, count=len(tokens))
     roles = np.array(roles, dtype=np.intp)
     is_user = roles == role_index["user"]
-    # turn flags as relabel_speaker_turns gives them: the parity of the
-    # role changes since the dialogue's first utterance
-    flips = np.cumsum(np.diff(roles, prepend=roles[:1]) != 0, dtype=np.intp)
-    turn = (flips - np.repeat(flips[u_off[:-1]], n_utt)) & 1
+    turn = relabel_speaker_turns(roles, n_utt)
     sents = np.array(sents, dtype=np.intp)
     sats = np.array(sats, dtype=np.intp)
     # each utterance's dialogue and its position in it

@@ -23,8 +23,6 @@ from . import training
 from .training import ModelConfig, VARIANTS, variant_config
 
 __all__ = [
-    "accuracy",
-    "macro_f1",
     "confusion",
     "score_labels",
     "heuristic_baseline",
@@ -59,16 +57,6 @@ def confusion(preds, truths, classes) -> np.ndarray:
     return np.bincount(t * k + p, minlength=k * k).reshape(k, k)
 
 
-def accuracy(preds, truths) -> float:
-    if len(truths) == 0 or len(preds) != len(truths):
-        raise ValueError("accuracy needs equal-length non-empty sequences")
-    return _accuracy(confusion(preds, truths, list(dict.fromkeys([*truths, *preds]))))
-
-
-def _accuracy(cm: np.ndarray) -> float:
-    return int(np.trace(cm)) / int(cm.sum())
-
-
 def per_class_prf(cm: np.ndarray) -> list[dict]:
     out = []
     for k in range(cm.shape[0]):
@@ -82,18 +70,6 @@ def per_class_prf(cm: np.ndarray) -> list[dict]:
     return out
 
 
-def macro_f1(preds, truths, classes) -> float:
-    """Unweighted class-mean F1. A class absent from both predictions and
-    truths contributes F1 = 0 (pessimistic, deterministic)."""
-    if len(truths) == 0:
-        raise ValueError("macro_f1 needs non-empty sequences")
-    return _mean_f1(per_class_prf(confusion(preds, truths, classes)))
-
-
-def _mean_f1(prf: list[dict]) -> float:
-    return sum(entry["f1"] for entry in prf) / len(prf)
-
-
 def score_labels(preds, truths, n_classes: int) -> dict:
     """Accuracy, macro F1, per-class precision/recall/F1 and the
     confusion matrix of labels 0..n_classes-1, from one count pass."""
@@ -103,8 +79,10 @@ def score_labels(preds, truths, n_classes: int) -> dict:
     prf = per_class_prf(cm)
     return {
         "n": len(truths),
-        "accuracy": _accuracy(cm),
-        "macro_f1": _mean_f1(prf),
+        "accuracy": int(np.trace(cm)) / int(cm.sum()),
+        # unweighted class mean; a class absent from both predictions and
+        # truths contributes F1 = 0 (pessimistic, deterministic)
+        "macro_f1": sum(entry["f1"] for entry in prf) / len(prf),
         "per_class": prf,
         "confusion": cm.tolist(),
     }
@@ -222,13 +200,17 @@ def ablate(split: cp.CorpusSplit, base: ModelConfig, n_seeds: int,
         for name in variants or list(VARIANTS)}}
 
 
+def _check_fractions(fractions) -> None:
+    for f in fractions:
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"fractions must lie in [0, 1], got {f}")
+
+
 def fraction_sweep(split: cp.CorpusSplit, fractions, base: ModelConfig,
                    n_seeds: int) -> dict:
     """Adversarial-training fraction sweep: fraction 0 means the
     discriminator stays untrained (Phase 1 skipped); 1 is a plain run."""
-    for f in fractions:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"fractions must lie in [0, 1], got {f}")
+    _check_fractions(fractions)
     seeded = _seeded(base, n_seeds)
     return {"n_seeds": n_seeds, "fractions": [
         {"fraction": f, **_seed_runs(split, [replace(cfg, use_td=True, adv_fraction=f)
@@ -348,6 +330,12 @@ def _split_for(args, cfg: ModelConfig) -> cp.CorpusSplit:
     return cp.split_corpus(cp.parse_corpus(args.corpus), cfg.seed)
 
 
+def _check_seeds_flag(args) -> None:
+    # before any file is read, so a bad count fails at once
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+
+
 def cmd_gen_data(args) -> int:
     dialogues = cp.generate_synthetic(args.n, args.q, args.seed)
     cp.write_corpus(dialogues, args.out)
@@ -394,6 +382,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_seeds_flag(args)
     cfg = _resolve_config(args)
     split = _split_for(args, cfg)
     report = ablate(split, cfg, args.seeds)
@@ -410,10 +399,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    fractions = [float(x) for x in args.fractions.split(",") if x.strip() != ""]
+    _check_seeds_flag(args)
+    try:
+        fractions = [float(x) for x in args.fractions.split(",") if x.strip() != ""]
+        _check_fractions(fractions)
+    except ValueError as exc:
+        raise ValueError(f"--fractions: {exc}") from None
     if not fractions:
-        raise ValueError("no fractions given")
+        raise ValueError("--fractions: no fractions given")
+    cfg = _resolve_config(args)
     split = _split_for(args, cfg)
     report = fraction_sweep(split, fractions, cfg, args.seeds)
     _dump_json(report, args.out)

@@ -316,9 +316,10 @@ def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
     argmax of its logits. Batches of ``cfg.batch`` dialogues are formed
     in length order, as in ``predict``; the counts are integers, so the
     result does not depend on the batching."""
+    counts = np.array([len(d.utterances) for d in dialogues], dtype=np.intp)
     correct = 0
     total = 0
-    for _, batch in _length_sorted_batches(dialogues, vocab, cfg.batch):
+    for _, batch in _length_sorted_batches(dialogues, counts, vocab, cfg.batch):
         zk = forward_discriminator(as_leaves(params), batch, cfg,
                                    interaction.pack(batch.utt_valid)).value
         # (row, stream) argmax classes; stream i's true class is i
@@ -473,15 +474,14 @@ def train(split: cp.CorpusSplit, cfg: ModelConfig) -> TrainResult:
 # --------------------------------------------------------------- inference
 
 
-def _length_sorted_batches(dialogues: list, vocab: cp.Vocabulary, batch_size: int):
+def _length_sorted_batches(dialogues: list, counts: np.ndarray, vocab: cp.Vocabulary,
+                           batch_size: int):
     """Yields (corpus indices, batch) over the dialogues sorted by
-    descending utterance count, a stable sort so that ties keep corpus
-    order. Neighbours in that order have nearly equal lengths, so each
-    batch pads to its own dialogues' L, not to the longest of a random
-    handful."""
-    order = np.asarray(sorted(range(len(dialogues)),
-                              key=lambda i: len(dialogues[i].utterances), reverse=True),
-                       dtype=np.intp)
+    descending utterance count ``counts``, a stable sort so that ties
+    keep corpus order. Neighbours in that order have nearly equal
+    lengths, so each batch pads to its own dialogues' L, not to the
+    longest of a random handful."""
+    order = np.argsort(-counts, kind="stable")
     start = 0
     for batch in cp.batchify([dialogues[i] for i in order], vocab, batch_size):
         yield order[start:start + batch.size], batch
@@ -506,7 +506,7 @@ def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,
     use_preds = np.zeros(len(dialogues), dtype=np.intp)
     sa_preds = np.zeros(counts.sum(), dtype=np.intp)
     batch_size = cfg.batch if batch_size is None else batch_size
-    for indices, batch in _length_sorted_batches(dialogues, vocab, batch_size):
+    for indices, batch in _length_sorted_batches(dialogues, counts, vocab, batch_size):
         P = as_leaves(params)
         _, z_m, z_sa = forward_task(P, batch, cfg, train_mode=False)
         use_preds[indices] = np.argmax(z_m.value, axis=1)

@@ -83,6 +83,16 @@ def sigmoid_ref(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def turn_flags_ref(roles):
+    """One dialogue's turn flags by a scalar loop: the first is 0, and the
+    bit flips wherever the role changes from the previous utterance."""
+    roles = list(roles)
+    flags = [0]
+    for prev, cur in zip(roles, roles[1:]):
+        flags.append(flags[-1] ^ (prev != cur))
+    return flags
+
+
 def confusion_oracle(y_true, y_pred, n_classes):
     """Confusion counts by explicit pair counting. cm[t][p] layout."""
     cm = [[0] * n_classes for _ in range(n_classes)]

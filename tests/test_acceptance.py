@@ -27,7 +27,7 @@ import stman.heads as hd
 import stman.interaction as it
 import stman.training as tr
 from oracles import (accuracy_oracle, confusion_oracle, dialogue_forward_ref,
-                     gru_shared_ref, gru_task_ref, macro_f1_oracle)
+                     gru_shared_ref, gru_task_ref, macro_f1_oracle, turn_flags_ref)
 
 ACCEPT_BASE = dict(K=32, E=16, Z=32, epochs=10)
 ABLATION_SEEDS = 5
@@ -78,7 +78,8 @@ def test_criterion_2_exactness_fixtures():
     # alternating turn flags: flip exactly where the speaker changes
     speakers = ["user", "staff", "user", "staff", "user", "staff",
                 "user", "user", "staff"]
-    assert cp.relabel_speaker_turns(speakers) == [0, 1, 0, 1, 0, 1, 0, 0, 1]
+    flags = cp.relabel_speaker_turns(speakers, [len(speakers)])
+    assert flags.tolist() == [0, 1, 0, 1, 0, 1, 0, 0, 1]
 
     # role mask: staff rows get exactly zero attention, user rows sum to one
     K, H, L = 4, 3, 5
@@ -117,19 +118,17 @@ def test_criterion_2_exactness_fixtures():
 
 
 def test_criterion_3_oracle_equivalence():
-    # metrics equal the counting oracles on 1000 random cases
+    # the metrics report equals the counting oracles on 1000 random cases
     rng = np.random.default_rng(3)
     for _ in range(1000):
         n = int(rng.integers(1, 30))
         k = int(rng.integers(2, 5))
         truths = rng.integers(0, k, size=n).tolist()
         preds = rng.integers(0, k, size=n).tolist()
-        classes = list(range(k))
-        assert ev.accuracy(preds, truths) == accuracy_oracle(truths, preds)
-        assert np.array_equal(ev.confusion(preds, truths, classes),
-                              confusion_oracle(truths, preds, k))
-        assert ev.macro_f1(preds, truths, classes) == macro_f1_oracle(
-            truths, preds, k)
+        report = ev.score_labels(preds, truths, k)
+        assert report["accuracy"] == accuracy_oracle(truths, preds)
+        assert report["confusion"] == confusion_oracle(truths, preds, k)
+        assert report["macro_f1"] == macro_f1_oracle(truths, preds, k)
 
     # batch-of-one forward equals the unbatched scalar model
     cfg, toy, _ = ev.toy_setup(0)
@@ -137,13 +136,15 @@ def test_criterion_3_oracle_equivalence():
     dialogues = toy + extra
     vocab = cp.build_vocab(dialogues)
     params = tr.init_params(cfg, len(vocab))
+    token_ids = dict(vocab.items())
     for d in dialogues:
         (batch,) = cp.batchify([d], vocab, 1)
         loss, _, _ = tr.forward_task(tr.as_leaves(params), batch, cfg)
+        roles = [u.speaker for u in d.utterances]
         ref = dialogue_forward_ref(
             params,
-            [[vocab.id_of(t) for t in u.tokens] for u in d.utterances],
-            d.roles(), cp.relabel_speaker_turns(d.roles()),
+            [[token_ids.get(t, cp.UNK_ID) for t in u.tokens] for u in d.utterances],
+            roles, turn_flags_ref(roles),
             cp.SATISFACTIONS.index(d.satisfaction),
             [cp.SENTIMENTS.index(u.sentiment) for u in d.utterances],
             E=cfg.E, K=cfg.K, use_st=cfg.use_st, use_mask=cfg.use_mask,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import turn_flags_ref
 from stman import corpus as cp
 
 
@@ -30,6 +31,17 @@ def test_roundtrip_is_identity(tmp_path):
     path = tmp_path / "c.jsonl"
     cp.write_corpus(dialogues, path)
     assert cp.parse_corpus(path) == dialogues
+
+
+def test_parsed_labels_are_the_module_constants(tmp_path):
+    # one shared string object per label, however often the file repeats it
+    path = tmp_path / "c.jsonl"
+    cp.write_corpus(cp.generate_synthetic(25, 0.8, seed=3), path)
+    for d in cp.parse_corpus(path):
+        assert d.satisfaction is cp.SATISFACTIONS[cp.SATISFACTIONS.index(d.satisfaction)]
+        for u in d.utterances:
+            assert u.speaker is cp.SPEAKERS[cp.SPEAKERS.index(u.speaker)]
+            assert u.sentiment is cp.SENTIMENTS[cp.SENTIMENTS.index(u.sentiment)]
 
 
 def test_unknown_satisfaction_names_allowed_set(tmp_path):
@@ -142,25 +154,38 @@ def test_vocab_save_load_roundtrip_on_unicode_tokens(tmp_path_factory, tokens):
 
 def test_relabel_alternating_with_repeat():
     roles = ["U", "S", "U", "S", "U", "S", "U", "U", "S"]
-    assert cp.relabel_speaker_turns(roles) == [0, 1, 0, 1, 0, 1, 0, 0, 1]
+    flags = cp.relabel_speaker_turns(roles, [len(roles)])
+    assert flags.tolist() == [0, 1, 0, 1, 0, 1, 0, 0, 1]
+    assert flags.dtype == np.intp
 
 
 def test_relabel_trivial_cases():
-    assert cp.relabel_speaker_turns(["U"]) == [0]
-    assert cp.relabel_speaker_turns(["U", "U", "U"]) == [0, 0, 0]
-    with pytest.raises(ValueError):
-        cp.relabel_speaker_turns([])
+    assert cp.relabel_speaker_turns(["U"], [1]).tolist() == [0]
+    assert cp.relabel_speaker_turns(["U", "U", "U"], [3]).tolist() == [0, 0, 0]
+    with pytest.raises(ValueError, match="empty"):
+        cp.relabel_speaker_turns([], [])
+    for counts in ([2], [3, 1], [2, 0, 1]):
+        with pytest.raises(ValueError, match="counts"):
+            cp.relabel_speaker_turns(["U", "S", "U"], counts)
 
 
-@given(st.lists(st.sampled_from(["user", "staff"]), min_size=1, max_size=30))
-def test_relabel_parity_counts_role_changes(roles):
-    flags = cp.relabel_speaker_turns(roles)
+@given(st.lists(st.sampled_from(["user", "staff"]), min_size=1, max_size=30), st.data())
+def test_relabel_parity_counts_role_changes(roles, data):
+    flags = cp.relabel_speaker_turns(roles, [len(roles)])
     assert len(flags) == len(roles)
     changes = 0
     for t in range(len(roles)):
         if t > 0 and roles[t] != roles[t - 1]:
             changes += 1
         assert flags[t] == changes % 2
+    # a random split into dialogues: each restarts at 0, as the scalar
+    # reference run on that dialogue alone
+    cut = data.draw(st.lists(st.booleans(), min_size=len(roles) - 1,
+                             max_size=len(roles) - 1))
+    bounds = [0, *(t for t in range(1, len(roles)) if cut[t - 1]), len(roles)]
+    dialogues = [roles[a:b] for a, b in zip(bounds, bounds[1:])]
+    flags = cp.relabel_speaker_turns(roles, [len(d) for d in dialogues])
+    assert flags.tolist() == [f for d in dialogues for f in turn_flags_ref(d)]
 
 
 # -------------------------------------------------------------- vocabulary
@@ -169,15 +194,13 @@ def test_relabel_parity_counts_role_changes(roles):
 def test_vocab_min_count_threshold():
     d = make_dialogue(rows=(("user", "a a b", "neutral"),))
     vocab = cp.build_vocab([d], min_count=2)
-    assert "a" in vocab and "b" not in vocab
-    assert vocab.id_of("b") == cp.UNK_ID
-    assert vocab.id_of("a") == 2
+    assert dict(vocab.items()) == {"a": 2}
 
 
 def test_vocab_min_count_one_keeps_all():
     d = make_dialogue(rows=(("user", "a a b", "neutral"),))
     vocab = cp.build_vocab([d], min_count=1)
-    assert "a" in vocab and "b" in vocab
+    assert dict(vocab.items()) == {"a": 2, "b": 3}
 
 
 def test_vocab_order_frequency_desc_then_lexicographic():
@@ -394,8 +417,9 @@ def encode_batch_loop(chunk, vocab):
     turn = np.zeros((B, L), dtype=np.intp)
     sent = np.zeros((B, L), dtype=np.intp)
     sat = np.zeros(B, dtype=np.intp)
+    token_ids = dict(vocab.items())
     for b, d in enumerate(chunk):
-        flags = cp.relabel_speaker_turns(d.roles())
+        flags = turn_flags_ref(u.speaker for u in d.utterances)
         sat[b] = cp.SATISFACTIONS.index(d.satisfaction)
         for t, u in enumerate(d.utterances):
             utt_valid[b, t] = True
@@ -403,7 +427,7 @@ def encode_batch_loop(chunk, vocab):
             turn[b, t] = flags[t]
             sent[b, t] = cp.SENTIMENTS.index(u.sentiment)
             for j, tok in enumerate(u.tokens):
-                ids[b, t, j] = vocab.id_of(tok)
+                ids[b, t, j] = token_ids.get(tok, cp.UNK_ID)
                 tok_valid[b, t, j] = True
     return cp.Batch(ids, tok_valid, utt_valid, is_user, turn, sent, sat,
                     [d.id for d in chunk])

@@ -22,15 +22,6 @@ def load_report(path) -> dict:
 # ----------------------------------------------------------------- metrics
 
 
-def test_accuracy_fixture():
-    assert ev.accuracy([0, 1, 2, 0], [0, 1, 1, 0]) == pytest.approx(0.75)
-    assert ev.accuracy([1], [1]) == 1.0
-    with pytest.raises(ValueError):
-        ev.accuracy([], [])
-    with pytest.raises(ValueError):
-        ev.accuracy([0], [0, 1])
-
-
 def test_confusion_fixture_and_errors():
     cm = ev.confusion([0, 1, 2, 2], [0, 1, 1, 2], [0, 1, 2])
     assert cm.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
@@ -42,40 +33,47 @@ def test_confusion_fixture_and_errors():
         ev.confusion([0, 1], [0], [0, 1])
 
 
-def test_macro_f1_fixtures():
-    classes = [0, 1, 2]
-    assert ev.macro_f1([0, 1, 2], [0, 1, 2], classes) == pytest.approx(1.0)
-    # class 1 half-recalled, class 2 half-precise, class 0 perfect
-    got = ev.macro_f1([0, 1, 2, 2], [0, 1, 1, 2], classes)
-    assert got == pytest.approx(7.0 / 9.0)
-    # a class with no support contributes zero
-    assert ev.macro_f1([0, 0], [0, 0], [0, 1]) == pytest.approx(0.5)
-    # total miss
-    assert ev.macro_f1([0, 0], [1, 1], [0, 1]) == pytest.approx(0.0)
+def test_accuracy_fixture():
+    assert ev.score_labels([0, 1, 2, 0], [0, 1, 1, 0], 3)["accuracy"] == pytest.approx(0.75)
+    assert ev.score_labels([1], [1], 2)["accuracy"] == 1.0
     with pytest.raises(ValueError):
-        ev.macro_f1([], [], classes)
+        ev.score_labels([], [], 3)
+    with pytest.raises(ValueError):
+        ev.score_labels([0], [0, 1], 3)
+
+
+def test_macro_f1_fixtures():
+    def macro_f1(preds, truths, k):
+        return ev.score_labels(preds, truths, k)["macro_f1"]
+
+    assert macro_f1([0, 1, 2], [0, 1, 2], 3) == pytest.approx(1.0)
+    # class 1 half-recalled, class 2 half-precise, class 0 perfect
+    assert macro_f1([0, 1, 2, 2], [0, 1, 1, 2], 3) == pytest.approx(7.0 / 9.0)
+    assert macro_f1([0, 1, 2, 0], [0, 1, 1, 0], 3) == pytest.approx(5.0 / 9.0)
+    # a class with no support contributes zero
+    assert macro_f1([0, 0], [0, 0], 2) == pytest.approx(0.5)
+    assert macro_f1([1], [1], 2) == pytest.approx(0.5)
+    # total miss
+    assert macro_f1([0, 0], [1, 1], 2) == pytest.approx(0.0)
+    with pytest.raises(ValueError):
+        ev.score_labels([], [], 3)
 
 
 def test_random_predictions_score_near_chance():
     rng = np.random.default_rng(0)
     truths = rng.integers(0, 3, size=10000).tolist()
     preds = rng.integers(0, 3, size=10000).tolist()
-    assert abs(ev.accuracy(preds, truths) - 1.0 / 3.0) < 0.02
+    assert abs(ev.score_labels(preds, truths, 3)["accuracy"] - 1.0 / 3.0) < 0.02
 
 
-def test_metrics_agree_with_counting_oracles():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        n = int(rng.integers(1, 40))
-        k = int(rng.integers(2, 5))
-        truths = rng.integers(0, k, size=n).tolist()
-        preds = rng.integers(0, k, size=n).tolist()
-        classes = list(range(k))
-        assert ev.accuracy(preds, truths) == accuracy_oracle(truths, preds)
-        assert np.array_equal(ev.confusion(preds, truths, classes),
-                              confusion_oracle(truths, preds, k))
-        assert ev.macro_f1(preds, truths, classes) == pytest.approx(
-            macro_f1_oracle(truths, preds, k), abs=1e-12)
+def assert_score_labels_matches_oracles(preds, truths, k):
+    report = ev.score_labels(preds, truths, k)
+    assert report["n"] == len(truths)
+    assert report["confusion"] == confusion_oracle(truths, preds, k)
+    assert report["accuracy"] == accuracy_oracle(truths, preds)
+    assert report["macro_f1"] == pytest.approx(
+        macro_f1_oracle(truths, preds, k), abs=1e-12)
+    assert ev.score_labels(np.array(preds), np.array(truths), k) == report
 
 
 def test_score_labels_agrees_with_counting_oracles():
@@ -86,13 +84,20 @@ def test_score_labels_agrees_with_counting_oracles():
         # a narrow label range on one side leaves classes absent from it
         truths = rng.integers(0, int(rng.integers(1, k + 1)), size=n).tolist()
         preds = rng.integers(int(rng.integers(0, k)), k, size=n).tolist()
-        report = ev.score_labels(preds, truths, k)
-        assert report["n"] == n
-        assert report["confusion"] == confusion_oracle(truths, preds, k)
-        assert report["accuracy"] == accuracy_oracle(truths, preds)
-        assert report["macro_f1"] == pytest.approx(
-            macro_f1_oracle(truths, preds, k), abs=1e-12)
-        assert ev.score_labels(np.array(preds), np.array(truths), k) == report
+        assert_score_labels_matches_oracles(preds, truths, k)
+
+
+def test_metrics_agree_with_counting_oracles():
+    # labels drawn from every class on both sides
+    rng = np.random.default_rng(1)
+    for _ in range(25):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(2, 5))
+        truths = rng.integers(0, k, size=n).tolist()
+        preds = rng.integers(0, k, size=n).tolist()
+        assert np.array_equal(ev.confusion(preds, truths, list(range(k))),
+                              confusion_oracle(truths, preds, k))
+        assert_score_labels_matches_oracles(preds, truths, k)
 
 
 def test_score_labels_counts_narrow_integer_dtypes_without_overflow():
@@ -266,9 +271,10 @@ def test_toy_setup_is_consistent():
     cfg.validate()
     assert len(dialogues) == 1
     assert len(vocab) == 9 + 2  # nine distinct tokens after UNK and PAD
+    token_ids = dict(vocab.items())
     for u in dialogues[0].utterances:
         for tok in u.tokens:
-            assert vocab.id_of(tok) >= 2
+            assert token_ids[tok] >= 2
 
 
 # ------------------------------------------------------ experiment drivers
@@ -444,6 +450,23 @@ def test_cli_ablate_and_sweep_and_analyze(tmp_path, capsys):
     report = load_report(out)
     assert report["n_dialogues"] == 30
     assert "correlation" in report and "baseline_final" in report
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--fractions", "0,x", "--seeds", "1"],
+     "--fractions: could not convert string to float: 'x'"),
+    (["sweep", "--fractions", "0,1.5", "--seeds", "1"],
+     "--fractions: fractions must lie in [0, 1], got 1.5"),
+    (["sweep", "--fractions", ",", "--seeds", "1"], "--fractions: no fractions given"),
+    (["sweep", "--fractions", "0,1", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["ablate", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+], ids=["sweep-fraction-not-a-number", "sweep-fraction-above-one", "sweep-no-fraction",
+        "sweep-no-seed", "ablate-no-seed"])
+def test_cli_rejects_bad_flags_before_reading_the_corpus(tmp_path, capsys, argv, message):
+    # the corpus does not exist: a check made after reading it would name the file
+    corpus = str(tmp_path / "missing.jsonl")
+    assert ev.main([*argv, "--corpus", corpus]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_rejects_unknown_arguments():

@@ -1,8 +1,10 @@
 """Every name in a stman module's __all__ is an attribute of the module,
-so a star import never fails on a stale entry; every autodiff op has a
-caller in the package; and the task and adversarial forwards record a
-tape whose size does not grow with the dialogue length."""
+so a star import never fails on a stale entry, and is used by code
+outside the tests; every autodiff op has a caller in the package; and
+the task and adversarial forwards record a tape whose size does not
+grow with the dialogue length."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -29,6 +31,31 @@ def test_every_module_is_listed():
 def test_all_names_resolve(name):
     module = importlib.import_module(f"stman.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+# public names whose first caller outside the tests is still to come
+NO_CALLER_YET = {
+    # its first planned caller is the training telemetry (ROADMAP item 1)
+    ("training", "discriminator_accuracy"),
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    repo = Path(__file__).resolve().parents[1]
+    files = [*(repo / "src" / "stman").glob("*.py"),
+             *(p for p in (repo / "perfbench").glob("*.py")
+               if not p.name.startswith("test_"))]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [(name, n) for name in MODULES
+              for n in importlib.import_module(f"stman.{name}").__all__
+              if n not in used and (name, n) not in NO_CALLER_YET]
+    assert unused == []
 
 
 def test_every_autodiff_op_is_called_by_another_module():
