@@ -2,8 +2,9 @@
 
 Every value is a 2-D numpy array (row-major, 64-bit). Operations wrap
 results in Node objects and record them on the active Tape; Tape.backward
-replays the records in reverse creation order, which is always a valid
-topological order because parents are created before children.
+runs the records once, in reverse creation order, which is always a valid
+topological order because parents are created before children, and frees
+each record's saved state as it passes.
 
 One tape belongs to one single-threaded run. The active-tape stack is
 thread-local, so independent runs may proceed concurrently on disjoint
@@ -53,8 +54,9 @@ class ContractError(ValueError):
 class Node:
     """One value in the computation graph.
 
-    ``grad`` stays None until backward first reaches the node. A node
-    created as a constant (requires_grad=False) never accumulates
+    ``grad`` stays None until backward first reaches the node; on a
+    recorded node it is None again once backward has run the node's rule.
+    A node created as a constant (requires_grad=False) never accumulates
     gradient.
     """
 
@@ -86,10 +88,18 @@ _ONE = np.ones((1, 1))
 
 
 class Tape:
-    """Creation-ordered record of the differentiable nodes of one run."""
+    """Creation-ordered record of the differentiable nodes of one run.
+
+    A tape runs backward once. As the sweep passes each recorded node it
+    drops the node's rule (and with it the gates, states and operands the
+    rule saved) and the node's gradient, so the part of the graph already
+    differentiated is freed while the rest runs. Node values stay, and
+    leaves are not on the tape, so they keep their gradients.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _ACTIVE.stack.append(self)
@@ -98,29 +108,34 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> bool:
         popped = _ACTIVE.stack.pop()
         assert popped is self, "tapes must unwind in LIFO order"
-        # each rule closes over its own output node; dropping the rules
-        # breaks those cycles so the graph is freed by reference counting
+        # each rule closes over its own output node; dropping the rules of
+        # a tape that never ran backward breaks those cycles so the graph
+        # is freed by reference counting
         for node in self.nodes:
             node.backward_rule = None
         return False
 
     def backward(self, loss: Node) -> None:
-        """Populate gradients of every node reachable from ``loss``.
+        """Populate the gradients of the leaves reachable from ``loss``.
 
-        A node feeding several consumers accumulates one contribution
-        per consumer. Gradients must be clear when this is called (fresh
-        tape and leaves): replay re-propagates whatever grad a node
-        already holds, so stacking calls compounds stale values. Call it
-        inside the ``with`` block; leaving the block drops the rules.
+        A node feeding several consumers accumulates one contribution per
+        consumer, so leaf gradients must be clear (fresh leaves). Each
+        recorded node's rule and gradient are set to None once the sweep
+        has passed it, whether or not a gradient reached it; a second
+        call on the same tape is therefore a ContractError.
         """
+        if self._spent:
+            raise ContractError("backward: this tape is spent (backward already "
+                                "ran on it); record the graph on a fresh tape")
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward: loss must be 1x1, got {loss.value.shape}")
-        if not loss.requires_grad:
-            return
-        _acc_copy(loss, _ONE)
+        self._spent = True
+        if loss.requires_grad:
+            _acc_copy(loss, _ONE)
         for node in reversed(self.nodes):
             if node.backward_rule is not None and node.grad is not None:
                 node.backward_rule()
+            node.backward_rule = node.grad = None
 
 
 def _as_matrix(data) -> np.ndarray:

@@ -90,14 +90,14 @@ def canonical_satisfaction(sentiment: str) -> str:
     return SATISFACTIONS[SENTIMENTS.index(sentiment)]
 
 
-@dataclass
+@dataclass(slots=True)
 class Utterance:
     speaker: str
     tokens: list[str]
     sentiment: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Dialogue:
     id: str
     satisfaction: str
@@ -132,17 +132,42 @@ def _field(obj: dict, key: str, line: int):
     return obj[key]
 
 
-def _check_label(value, allowed: tuple, what: str, line: int) -> str:
-    """The ``allowed`` constant equal to ``value``, so that a parsed corpus
-    holds one string object per label, not one per occurrence."""
-    if value not in allowed:
-        raise ParseError(line, f"unknown {what} {value!r}; allowed: {{{', '.join(allowed)}}}")
-    return allowed[allowed.index(value)]
+# each label constant keyed by itself: a lookup both checks a parsed value
+# and returns the shared constant, so a parsed corpus holds one string
+# object per label, not one per occurrence
+_SATISFACTION_OF = {s: s for s in SATISFACTIONS}
+_SPEAKER_OF = {s: s for s in SPEAKERS}
+_SENTIMENT_OF = {s: s for s in SENTIMENTS}
+
+
+def _label(obj: dict, key: str, allowed: dict, line: int) -> str:
+    """The constant of ``allowed`` equal to the value of field ``key``."""
+    try:
+        return allowed[obj[key]]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON list or object
+        pass
+    value = _field(obj, key, line)
+    raise ParseError(line, f"unknown {key} {value!r}; allowed: {{{', '.join(allowed)}}}")
+
+
+def _new_tokens(tokens: list, known: dict, line: int) -> list[str]:
+    """Check an utterance's tokens, some not seen before, and return them
+    as the strings of ``known``, adding the new ones."""
+    if "" in tokens or not all(map(str.__instancecheck__, tokens)):
+        raise ParseError(line, "tokens must be a non-empty list of non-empty strings")
+    # JSON can only carry a line break as an escape; the one-token-per-line
+    # vocabulary file cannot hold it
+    if any("\n" in t or "\r" in t for t in tokens):
+        raise ParseError(line, "tokens must not contain a line break")
+    return [known.setdefault(t, t) for t in tokens]
 
 
 def parse_corpus(path) -> list[Dialogue]:
+    """The dialogues of a corpus file, in file order. Equal token texts
+    share one string object, from a table local to the call."""
     dialogues = []
     first_line: dict[str, int] = {}  # id -> line it first appeared on
+    known: dict[str, str] = {}  # checked token text -> its first occurrence
     with open(path, encoding="utf-8") as fh, _naming(path):
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -160,30 +185,27 @@ def parse_corpus(path) -> list[Dialogue]:
                 raise ParseError(lineno, f"duplicate dialogue id {did!r} "
                                          f"(first on line {first_line[did]})")
             first_line[did] = lineno
-            sat = _check_label(_field(obj, "satisfaction", lineno), SATISFACTIONS,
-                               "satisfaction", lineno)
+            sat = _label(obj, "satisfaction", _SATISFACTION_OF, lineno)
             utts_raw = _field(obj, "utterances", lineno)
             if not isinstance(utts_raw, list) or not utts_raw:
                 raise ParseError(lineno, "utterances must be a non-empty list")
             utts = []
-            escaped = "\\" in raw
             for u in utts_raw:
                 if not isinstance(u, dict):
                     raise ParseError(lineno, "utterance must be a JSON object")
-                speaker = _check_label(_field(u, "speaker", lineno), SPEAKERS,
-                                       "speaker", lineno)
-                sentiment = _check_label(_field(u, "sentiment", lineno), SENTIMENTS,
-                                         "sentiment", lineno)
+                speaker = _label(u, "speaker", _SPEAKER_OF, lineno)
+                sentiment = _label(u, "sentiment", _SENTIMENT_OF, lineno)
                 tokens = _field(u, "tokens", lineno)
-                if (not isinstance(tokens, list) or not tokens
-                        or not all(isinstance(t, str) and t for t in tokens)):
+                if not isinstance(tokens, list) or not tokens:
                     raise ParseError(lineno, "tokens must be a non-empty list of "
                                              "non-empty strings")
-                # JSON can only carry a line break as an escape; the
-                # one-token-per-line vocabulary file cannot hold it
-                if escaped and any("\n" in t or "\r" in t for t in tokens):
-                    raise ParseError(lineno, "tokens must not contain a line break")
-                utts.append(Utterance(speaker, list(tokens), sentiment))
+                # every text in known has passed _new_tokens' checks, so a
+                # list of known texts needs no other check
+                try:
+                    tokens = [known[t] for t in tokens]
+                except (KeyError, TypeError):
+                    tokens = _new_tokens(tokens, known, lineno)
+                utts.append(Utterance(speaker, tokens, sentiment))
             dialogues.append(Dialogue(did, sat, utts))
     return dialogues
 
@@ -284,10 +306,12 @@ def load_vocab(path) -> Vocabulary:
                 raise ParseError(lineno, f"duplicate token {tok!r} "
                                          f"(first on line {first_line[tok]})")
             first_line[tok] = lineno
-            try:
-                i = int(ids)
-            except ValueError as exc:
-                raise ParseError(lineno, f"bad id {ids!r}") from exc
+            # int() alone would also take "1_0", " 7" and non-ASCII digits;
+            # a minus is kept so that a negative id gets the reserved-id error
+            digits = ids.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(lineno, f"bad id {ids!r}")
+            i = int(ids)
             if i < 2:
                 raise ParseError(lineno, f"id {i} for {tok!r} collides with a "
                                          f"reserved id (UNK={UNK_ID}, PAD={PAD_ID})")

@@ -2,6 +2,7 @@
 finite-difference sweep across every differentiable op."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -232,25 +233,28 @@ def test_backward_rejects_non_scalar():
             tape.backward(y)
 
 
-def zero_grads(tape):
-    """Clear every gradient the tape's backward can have written."""
-    for node in tape.nodes:
-        node.grad = None
-        for parent in node.parents:
-            parent.grad = None
-
-
-def test_rerun_after_zero_is_bitwise_identical():
-    rng = np.random.default_rng(5)
-    x, w = ad.leaf(rng.normal(size=(3, 3))), ad.leaf(rng.normal(size=(3, 3)))
+def test_second_backward_on_a_spent_tape_raises():
+    """The first sweep drops every rule, so a replay has nothing to run."""
+    x = ad.leaf([[3.0]])
     with ad.Tape() as tape:
-        loss = sum_all(ad.tanh(ad.matmul(x, w)))
+        loss = ad.matmul(x, x)
         tape.backward(loss)
-        first = (x.grad.copy(), w.grad.copy())
-        zero_grads(tape)
-        tape.backward(loss)
-        assert np.array_equal(x.grad, first[0])
-        assert np.array_equal(w.grad, first[1])
+        with pytest.raises(ad.ContractError, match="spent"):
+            tape.backward(loss)
+    assert x.grad[0, 0] == 6.0
+
+
+def test_fresh_tapes_give_bitwise_identical_gradients():
+    rng = np.random.default_rng(5)
+    x_arr, w_arr = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    grads = []
+    for _ in range(2):
+        x, w = ad.leaf(x_arr), ad.leaf(w_arr)
+        with ad.Tape() as tape:
+            tape.backward(sum_all(ad.tanh(ad.matmul(x, w))))
+        grads.append((x.grad, w.grad))
+    assert np.array_equal(grads[0][0], grads[1][0])
+    assert np.array_equal(grads[0][1], grads[1][1])
 
 
 def test_finished_tape_leaves_no_reference_cycles():
@@ -462,6 +466,51 @@ def test_gru_seq_records_one_node_per_call():
     with ad.Tape() as tape:
         ad.gru_seq(xw, U, b, RAGGED_COUNTS)
         assert len(tape.nodes) == 1
+
+
+def _recurrent_leaves(rng):
+    """Leaves of a matmul -> lstm_seq -> matmul -> gru_seq graph."""
+    E, K, N = 3, 2, sum(RAGGED)
+    return {"x": ad.leaf(rng.normal(size=(N, 2))),
+            "W": ad.leaf(rng.normal(size=(2, 4 * E))),
+            "U": ad.leaf(rng.normal(scale=0.5, size=(E, 4 * E))),
+            "b": ad.leaf(rng.normal(size=(1, 4 * E))),
+            "V": ad.leaf(rng.normal(size=(E, 3 * K))),
+            "R": ad.leaf(rng.normal(scale=0.5, size=(K, 3 * K))),
+            "c": ad.leaf(rng.normal(size=(1, 3 * K)))}
+
+
+def test_backward_frees_each_rule_and_gradient_and_keeps_leaf_gradients():
+    L = _recurrent_leaves(np.random.default_rng(30))
+    with ad.Tape() as tape:
+        H = ad.lstm_seq(ad.matmul(L["x"], L["W"]), L["U"], L["b"], RAGGED_COUNTS)
+        loss = sum_all(ad.gru_seq(ad.matmul(H, L["V"]), L["R"], L["c"], RAGGED_COUNTS))
+        tape.backward(loss)
+        assert len(tape.nodes) > 3
+        for node in tape.nodes:
+            assert node.backward_rule is None and node.grad is None
+    assert loss.value.shape == (1, 1)  # values stay
+    for name, lf in L.items():
+        assert lf.grad is not None and lf.grad.shape == lf.value.shape, name
+
+
+def test_backward_releases_the_state_lstm_seq_saved():
+    """The gates and states the rule closed over die with the rule, while
+    the tape is still open."""
+    leaves = _recurrent_leaves(np.random.default_rng(31))
+    values = {id(lf.value) for lf in leaves.values()}
+    with ad.Tape() as tape:
+        XW = ad.matmul(leaves["x"], leaves["W"])
+        H = ad.lstm_seq(XW, leaves["U"], leaves["b"], RAGGED_COUNTS)
+        # the per-call buffers, not the leaf values the rule also reads
+        saved = [weakref.ref(c.cell_contents) for c in H.backward_rule.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)
+                 and id(c.cell_contents) not in values]
+        assert len(saved) >= 4  # acts, h_prev, c_prev, tanh_c
+        assert all(ref() is not None for ref in saved)
+        tape.backward(sum_all(H))
+        assert all(ref() is None for ref in saved)
+    assert leaves["U"].grad is not None
 
 
 @pytest.mark.parametrize("counts", [[2, 3], [2, 0], [], [4, 3, 3, 1]],

@@ -44,6 +44,22 @@ def test_parsed_labels_are_the_module_constants(tmp_path):
             assert u.sentiment is cp.SENTIMENTS[cp.SENTIMENTS.index(u.sentiment)]
 
 
+def test_equal_token_texts_are_one_string_and_records_have_no_dict(tmp_path):
+    path = tmp_path / "c.jsonl"
+    cp.write_corpus(cp.generate_synthetic(25, 0.8, seed=3), path)
+    seen = {}  # text -> (dialogue index, first string object)
+    across = 0  # occurrences in a later dialogue than the first
+    for i, d in enumerate(cp.parse_corpus(path)):
+        assert not hasattr(d, "__dict__")
+        for u in d.utterances:
+            assert not hasattr(u, "__dict__")
+            for t in u.tokens:
+                first, obj = seen.setdefault(t, (i, t))
+                assert t is obj
+                across += first != i
+    assert across > 0
+
+
 def test_unknown_satisfaction_names_allowed_set(tmp_path):
     path = tmp_path / "c.jsonl"
     rec = {"id": "x", "satisfaction": "ok",
@@ -72,6 +88,30 @@ def test_parse_rejects_bad_records(tmp_path, mutate, needle):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(cp.ParseError, match=needle):
         cp.parse_corpus(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("speaker", ["user"], "unknown speaker ['user']; allowed: {user, staff}"),
+    ("sentiment", {"a": 1}, "unknown sentiment {'a': 1}; "
+                            "allowed: {negative, neutral, positive}"),
+    ("sentiment", None, "unknown sentiment None; allowed: {negative, neutral, positive}"),
+    ("tokens", ["hi", ""], "tokens must be a non-empty list of non-empty strings"),
+    ("tokens", ["hi", 3], "tokens must be a non-empty list of non-empty strings"),
+    ("tokens", "hi", "tokens must be a non-empty list of non-empty strings"),
+    # iterating the object gives "hi", a token the first line made known
+    ("tokens", {"hi": 1}, "tokens must be a non-empty list of non-empty strings"),
+], ids=["unhashable-list", "unhashable-object", "null", "empty-token", "number-token",
+        "string-not-list", "object-not-list"])
+def test_parse_rejects_bad_utterance_fields_naming_the_line(tmp_path, field, value,
+                                                            message):
+    good = {"id": "x", "satisfaction": "met",
+            "utterances": [{"speaker": "user", "tokens": ["hi"], "sentiment": "neutral"}]}
+    bad = {**good, "id": "y", "utterances": [{**good["utterances"][0], field: value}]}
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(cp.ParseError) as exc:
+        cp.parse_corpus(path)
+    assert str(exc.value) == f"{path}: line 2: {message}"
 
 
 def test_parse_reports_line_number_of_bad_json(tmp_path):
@@ -248,7 +288,11 @@ def test_load_vocab_rejects_repeated_token_naming_both_lines(tmp_path):
     ("a\t2\nb\t1\n", 2, r"line 2: id 1 for 'b' collides with a reserved id"),
     ("a\t-3\n", 1, r"line 1: id -3 for 'a' collides with a reserved id"),
     ("a\t2\n\nc\t3\nb\t2\n", 4, r"line 4: duplicate id 2 for 'b' \(first on line 1\)"),
-], ids=["unk", "pad", "negative", "repeated-id"])
+    ("a\t2\nb\t1_0\n", 2, r"line 2: bad id '1_0'$"),
+    ("a\t2\nb\t 7\n", 2, r"line 2: bad id ' 7'$"),
+    ("a\t2\nb\t\u0663\n", 2, r"line 2: bad id '\u0663'$"),
+], ids=["unk", "pad", "negative", "repeated-id", "underscore", "space",
+        "non-ascii-digit"])
 def test_load_vocab_rejects_bad_id_naming_the_line(tmp_path, text, line, message):
     path = tmp_path / "vocab.tsv"
     path.write_text(text, encoding="utf-8")
