@@ -14,6 +14,7 @@ be differentiated (useful for cheap evaluation-only passes).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Sequence
 
@@ -168,6 +169,11 @@ def _record(value: np.ndarray, parents: tuple) -> tuple[Node, bool]:
                 stack[-1].nodes.append(node)
                 return node, True
     return Node(value), False
+
+
+def _will_record(parents: tuple) -> bool:
+    """Whether ``_record`` will put a node with these parents on a tape."""
+    return bool(_ACTIVE.stack) and any(p.requires_grad for p in parents)
 
 
 def _acc(node: Node, g: np.ndarray) -> None:
@@ -403,17 +409,34 @@ def reshape(x: Node, rows: int, cols: int) -> Node:
     return out
 
 
-def _step_offsets(op: str, counts, rows: int) -> np.ndarray:
-    """Row offsets of the steps of a packed sequence: step j holds rows
-    offs[j]:offs[j+1]. Counts must be positive and never increase."""
-    n = np.asarray(counts, dtype=np.intp).reshape(-1)
-    if n.size < 1 or n[-1] < 1 or np.any(n[1:] > n[:-1]):
+def _step_offsets(op: str, counts, rows: int) -> list[int]:
+    """Row offsets of the steps of a packed sequence, as Python ints: step
+    j holds rows offs[j]:offs[j+1]. Counts must be positive and never
+    increase."""
+    n = np.asarray(counts).tolist()
+    if not n or n[-1] < 1 or n != sorted(n, reverse=True):
         raise ContractError(f"{op}: step counts must be positive and non-increasing")
-    offs = np.zeros(n.size + 1, dtype=np.intp)
-    np.cumsum(n, out=offs[1:])
+    offs = list(itertools.accumulate(n, initial=0))
     if offs[-1] != rows:
         raise ShapeError(f"{op}: step counts sum to {offs[-1]}, operand has {rows} rows")
     return offs
+
+
+def _start_states(S: np.ndarray, offs: list[int], steps) -> np.ndarray:
+    """The state each packed row starts from, given the states ``S`` the
+    steps produced in the run order ``steps``: a row's own row of the
+    step run before it, zero where that step has no such row (the rows
+    of the shorter of two neighbouring steps are a prefix of the
+    other's) and for the first step run."""
+    start = np.zeros_like(S)
+    prev = None
+    for j in steps:
+        if prev is not None:
+            lo, plo = offs[j], offs[prev]
+            k = min(offs[j + 1] - lo, offs[prev + 1] - plo)
+            start[lo : lo + k] = S[plo : plo + k]
+        prev = j
+    return start
 
 
 def packed_sum(x: Node, counts) -> Node:
@@ -453,6 +476,12 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
     the steps run last to first, and a sequence enters at its last step
     from the zero state. Returns the (N, E) hidden states, row-aligned
     with ``XW``. Backward is hand-derived BPTT over the stored gates.
+
+    The gates, the cell's tanh and the cell states are kept for every
+    row only when a tape records the node; without one, each step reuses
+    one step's buffers (two steps' for the cells, written in turn). Every
+    step works in preallocated buffers, reading the state it starts from
+    as a view of the rows the step before it wrote.
     """
     xw, u, bv = XW.value, U.value, b.value
     E = u.shape[0]
@@ -460,57 +489,92 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
         raise ShapeError(f"lstm_seq: XW {xw.shape}, U {u.shape}, b {bv.shape} "
                          "do not fit an i|f|o|g layout")
     offs = _step_offsets("lstm_seq", counts, xw.shape[0])
-    N, T = xw.shape[0], offs.size - 1
+    N, T, n0 = xw.shape[0], len(offs) - 1, offs[1]
     steps = range(T - 1, -1, -1) if reverse else range(T)
-    acts = np.empty((N, 4 * E))  # gate activations, i|f|o|g
-    h_prev = np.zeros((N, E))  # the state each step starts from
-    c_prev = np.zeros((N, E))
-    tanh_c = np.empty((N, E))
+    taped = _will_record((XW, U, b))
+    rows = N if taped else n0
+    acts = np.empty((rows, 4 * E))  # gate activations, i|f|o|g
+    tanh_c = np.empty((rows, E))
+    C = np.empty((N, E)) if taped else np.empty((2, n0, E))
+    pre = np.empty((n0, 4 * E))
     H = np.empty((N, E))
-    C = np.empty((N, E))
-    last = None
+    # the zero state: the start of the first step run, and of the rows a
+    # reverse step has beyond the step run before it (its start state is
+    # copied into their prefix)
+    h0, c0 = np.zeros((n0, E)), np.zeros((n0, E))
+    last = None  # the step run before: first row, row count, cells
     for j in steps:
         lo, hi = offs[j], offs[j + 1]
-        if last is not None:
-            # the carried rows are a prefix of both this step and the last
-            k = min(hi - lo, last[1] - last[0])
-            h_prev[lo : lo + k] = H[last[0] : last[0] + k]
-            c_prev[lo : lo + k] = C[last[0] : last[0] + k]
-        pre = xw[lo:hi] + h_prev[lo:hi] @ u
-        pre += bv
-        a = acts[lo:hi]
-        a[:, : 3 * E] = 0.5 * (np.tanh(0.5 * pre[:, : 3 * E]) + 1.0)
-        a[:, 3 * E :] = np.tanh(pre[:, 3 * E :])
-        C[lo:hi] = a[:, E : 2 * E] * c_prev[lo:hi] + a[:, :E] * a[:, 3 * E :]
-        tanh_c[lo:hi] = np.tanh(C[lo:hi])
-        H[lo:hi] = a[:, 2 * E : 3 * E] * tanh_c[lo:hi]
-        last = (lo, hi)
+        n = hi - lo
+        r = lo if taped else 0
+        a, tc, p = acts[r : r + n], tanh_c[r : r + n], pre[:n]
+        c = C[lo:hi] if taped else C[j % 2, :n]
+        if last is None:
+            hp, cp = h0[:n], c0[:n]
+        else:
+            l_lo, l_n, l_c = last
+            if n <= l_n:
+                hp, cp = H[l_lo : l_lo + n], l_c[:n]
+            else:
+                h0[:l_n], c0[:l_n] = H[l_lo : l_lo + l_n], l_c
+                hp, cp = h0[:n], c0[:n]
+        np.matmul(hp, u, out=p)
+        p += xw[lo:hi]
+        p += bv
+        # sigmoid(x) = (tanh(x / 2) + 1) / 2 on i|f|o, one tanh for all four
+        p[:, : 3 * E] *= 0.5
+        np.tanh(p, out=a)
+        s = a[:, : 3 * E]
+        s += 1.0
+        s *= 0.5
+        np.multiply(a[:, E : 2 * E], cp, out=c)
+        np.multiply(a[:, :E], a[:, 3 * E :], out=tc)
+        c += tc
+        np.tanh(c, out=tc)
+        np.multiply(a[:, 2 * E : 3 * E], tc, out=H[lo:hi])
+        last = lo, n, c
     out, rec = _record(H, (XW, U, b))
     if rec:
+        h_prev = _start_states(H, offs, steps)
+        c_prev = _start_states(C, offs, steps)
 
         def rule():
+            # the node's own gradient, dropped once this rule has run, so
+            # each step adds the next step's start-state gradient into it
             dH = out.grad
-            deriv = acts * (1.0 - acts)
-            deriv[:, 3 * E :] = 1.0 - acts[:, 3 * E :] ** 2
             dpre = np.empty((N, 4 * E))
-            # gradient of the next step's start state; none before the last step
-            dh_next = dc_next = np.zeros((0, E))
+            # d(activation)/d(pre-activation): a (1 - a) on i|f|o, 1 - a^2 on g
+            np.subtract(1.0, acts, out=dpre)
+            dpre *= acts
+            dg = dpre[:, 3 * E :]
+            np.multiply(acts[:, 3 * E :], acts[:, 3 * E :], out=dg)
+            np.subtract(1.0, dg, out=dg)
+            prods = np.empty((n0, 4 * E))
+            dc_buf, tmp = np.empty((n0, E)), np.empty((n0, E))
+            # gradient of the start state of the step run after this one
+            dh_next, dc_next = np.empty((n0, E)), np.empty((n0, E))
+            m = 0  # its rows
             for j in reversed(steps):
                 lo, hi = offs[j], offs[j + 1]
+                n = hi - lo
+                k = min(n, m)
                 a, tc = acts[lo:hi], tanh_c[lo:hi]
-                dh = dH[lo:hi].copy()
-                k = min(hi - lo, dh_next.shape[0])
+                dh, dc, t, g = dH[lo:hi], dc_buf[:n], tmp[:n], prods[:n]
                 dh[:k] += dh_next[:k]
-                dc = dh * a[:, 2 * E : 3 * E] * (1.0 - tc * tc)
+                np.multiply(dh, a[:, 2 * E : 3 * E], out=t)
+                np.multiply(tc, tc, out=dc)
+                np.subtract(1.0, dc, out=dc)
+                dc *= t
                 dc[:k] += dc_next[:k]
+                np.multiply(dc, a[:, 3 * E :], out=g[:, :E])
+                np.multiply(dc, c_prev[lo:hi], out=g[:, E : 2 * E])
+                np.multiply(dh, tc, out=g[:, 2 * E : 3 * E])
+                np.multiply(dc, a[:, :E], out=g[:, 3 * E :])
                 dp = dpre[lo:hi]
-                dp[:, :E] = dc * a[:, 3 * E :]
-                dp[:, E : 2 * E] = dc * c_prev[lo:hi]
-                dp[:, 2 * E : 3 * E] = dh * tc
-                dp[:, 3 * E :] = dc * a[:, :E]
-                dp *= deriv[lo:hi]
-                dh_next = dp @ u.T
-                dc_next = dc * a[:, E : 2 * E]
+                dp *= g
+                np.matmul(dp, u.T, out=dh_next[:n])
+                np.multiply(dc, a[:, E : 2 * E], out=dc_next[:n])
+                m = n
             if U.requires_grad:
                 _acc(U, h_prev.T @ dpre)
             if b.requires_grad:
@@ -521,71 +585,116 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
     return out
 
 
-def gru_seq(XW: Node, U: Node, b: Node, counts) -> Node:
+def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
     """One GRU over a packed batch of sequences, as one node.
 
     ``XW`` (N, 3K) holds the input projections of every step in the
-    layout of ``packed_sum``; ``U`` is (K, 3K) and ``b`` (1, 3K), gate
-    layout r|z|h. Each step computes r and z from ``XW + h_prev U + b``,
-    the candidate from ``XW_h + (h_prev * r) U_h + b_h``, and
-    ``h = (1 - z) * h_prev + z * candidate``, from the zero state; a
-    sequence's state is dropped once it has ended. Returns the (N, K)
-    hidden states, row-aligned with ``XW``. Backward is hand-derived BPTT
-    over the stored gates and ``h_prev * r``.
+    layout of ``packed_sum``; ``U`` is (K, 3K) and ``b`` (1, 3K) or None
+    for no bias, gate layout r|z|h. Each step computes r and z from
+    ``XW + h_prev U + b``, the candidate from ``XW_h + (h_prev * r) U_h
+    + b_h``, and ``h = (1 - z) * h_prev + z * candidate``, from the zero
+    state; a sequence's state is dropped once it has ended. Returns the
+    (N, K) hidden states, row-aligned with ``XW``. Backward is
+    hand-derived BPTT over the stored gates and ``h_prev * r``.
+
+    As in ``lstm_seq``, the gates and ``h_prev * r`` are kept for every
+    row only when a tape records the node, and each step works in
+    preallocated buffers.
     """
-    xw, u, bv = XW.value, U.value, b.value
+    xw, u = XW.value, U.value
+    bv = None if b is None else b.value
     K = u.shape[0]
-    if u.shape != (K, 3 * K) or xw.shape[1] != 3 * K or bv.shape != (1, 3 * K):
-        raise ShapeError(f"gru_seq: XW {xw.shape}, U {u.shape}, b {bv.shape} "
-                         "do not fit an r|z|h layout")
+    if (u.shape != (K, 3 * K) or xw.shape[1] != 3 * K
+            or (bv is not None and bv.shape != (1, 3 * K))):
+        raise ShapeError(f"gru_seq: XW {xw.shape}, U {u.shape}, "
+                         f"b {None if bv is None else bv.shape} do not fit an r|z|h layout")
     offs = _step_offsets("gru_seq", counts, xw.shape[0])
-    N, T = xw.shape[0], offs.size - 1
+    N, T, n0 = xw.shape[0], len(offs) - 1, offs[1]
     u_rz, u_h = u[:, : 2 * K], u[:, 2 * K :]
-    acts = np.empty((N, 3 * K))  # gate activations, r|z|h
-    h_prev = np.zeros((N, K))  # the state each step starts from
-    hr = np.empty((N, K))  # h_prev * r, the candidate's recurrent input
+    parents = (XW, U) if b is None else (XW, U, b)
+    taped = _will_record(parents)
+    rows = N if taped else n0
+    acts = np.empty((rows, 3 * K))  # gate activations, r|z|h
+    hr = np.empty((rows, K))  # h_prev * r, the candidate's recurrent input
+    pre_rz, pre_h, tmp = np.empty((n0, 2 * K)), np.empty((n0, K)), np.empty((n0, K))
     H = np.empty((N, K))
+    hp = np.zeros((n0, K))  # the state the first step starts from
     for j in range(T):
         lo, hi = offs[j], offs[j + 1]
+        n = hi - lo
+        r = lo if taped else 0
+        a, q, h = acts[r : r + n], hr[r : r + n], H[lo:hi]
+        p_rz, p_h, t = pre_rz[:n], pre_h[:n], tmp[:n]
         if j:
             # every row of this step ran in the last one, as its prefix
-            h_prev[lo:hi] = H[offs[j - 1] : offs[j - 1] + hi - lo]
-        hp, a = h_prev[lo:hi], acts[lo:hi]
-        pre = xw[lo:hi, : 2 * K] + hp @ u_rz
-        pre += bv[:, : 2 * K]
-        a[:, : 2 * K] = 0.5 * (np.tanh(0.5 * pre) + 1.0)
-        np.multiply(hp, a[:, :K], out=hr[lo:hi])
-        pre = xw[lo:hi, 2 * K :] + hr[lo:hi] @ u_h
-        pre += bv[:, 2 * K :]
-        np.tanh(pre, out=a[:, 2 * K :])
-        z = a[:, K : 2 * K]
-        H[lo:hi] = hp - z * hp + z * a[:, 2 * K :]
-    out, rec = _record(H, (XW, U, b))
+            hp = H[offs[j - 1] : offs[j - 1] + n]
+        np.matmul(hp, u_rz, out=p_rz)
+        p_rz += xw[lo:hi, : 2 * K]
+        if bv is not None:
+            p_rz += bv[:, : 2 * K]
+        p_rz *= 0.5
+        s = a[:, : 2 * K]
+        np.tanh(p_rz, out=s)
+        s += 1.0
+        s *= 0.5
+        z, c = a[:, K : 2 * K], a[:, 2 * K :]
+        np.multiply(hp, a[:, :K], out=q)
+        np.matmul(q, u_h, out=p_h)
+        p_h += xw[lo:hi, 2 * K :]
+        if bv is not None:
+            p_h += bv[:, 2 * K :]
+        np.tanh(p_h, out=c)
+        np.multiply(z, hp, out=h)
+        np.subtract(hp, h, out=h)
+        np.multiply(z, c, out=t)
+        h += t
+    out, rec = _record(H, parents)
     if rec:
+        h_prev = _start_states(H, offs, range(T))
 
         def rule():
+            # the node's own gradient, dropped once this rule has run
             dH = out.grad
             dpre = np.empty((N, 3 * K))
-            # gradient of the next step's start state; none after the last step
-            dh_next = np.zeros((0, K))
+            dhr_buf, tmp = np.empty((n0, K)), np.empty((n0, K))
+            # gradient of the next step's start state, and its rows
+            dh_next, m = np.empty((n0, K)), 0
             for j in range(T - 1, -1, -1):
                 lo, hi = offs[j], offs[j + 1]
+                n = hi - lo
                 a, hp = acts[lo:hi], h_prev[lo:hi]
                 r, z, c = a[:, :K], a[:, K : 2 * K], a[:, 2 * K :]
-                dh = dH[lo:hi].copy()
-                dh[: dh_next.shape[0]] += dh_next
-                dp = dpre[lo:hi]
-                dp[:, 2 * K :] = dh * z * (1.0 - c * c)
-                dhr = dp[:, 2 * K :] @ u_h.T
-                dp[:, :K] = dhr * hp * r * (1.0 - r)
-                dp[:, K : 2 * K] = dh * (c - hp) * z * (1.0 - z)
-                dh_next = dh - dh * z + dhr * r + dp[:, : 2 * K] @ u_rz.T
+                dh, dhr, t, dp = dH[lo:hi], dhr_buf[:n], tmp[:n], dpre[lo:hi]
+                dh[:m] += dh_next[:m]
+                d_r, d_z, d_c = dp[:, :K], dp[:, K : 2 * K], dp[:, 2 * K :]
+                np.multiply(dh, z, out=d_c)
+                np.multiply(c, c, out=t)
+                np.subtract(1.0, t, out=t)
+                d_c *= t
+                np.matmul(d_c, u_h.T, out=dhr)
+                np.multiply(dhr, hp, out=d_r)
+                d_r *= r
+                np.subtract(1.0, r, out=t)
+                d_r *= t
+                np.subtract(c, hp, out=d_z)
+                d_z *= dh
+                d_z *= z
+                np.subtract(1.0, z, out=t)
+                d_z *= t
+                nx = dh_next[:n]
+                np.multiply(dh, z, out=t)
+                np.subtract(dh, t, out=nx)
+                np.multiply(dhr, r, out=t)
+                nx += t
+                np.matmul(dp[:, : 2 * K], u_rz.T, out=t)
+                nx += t
+                m = n
             if U.requires_grad:
                 dU = np.empty((K, 3 * K))
                 np.matmul(h_prev.T, dpre[:, : 2 * K], out=dU[:, : 2 * K])
                 np.matmul(hr.T, dpre[:, 2 * K :], out=dU[:, 2 * K :])
                 _acc(U, dU)
-            if b.requires_grad:
+            if b is not None and b.requires_grad:
                 _acc(b, dpre.sum(axis=0, keepdims=True))
             _acc(XW, dpre)
 

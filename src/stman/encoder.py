@@ -102,12 +102,7 @@ def _encode_sorted(P: dict, grid: np.ndarray, mask: np.ndarray, E: int) -> ad.No
     # input projections of the distinct tokens only, then one row per token
     distinct, inv = np.unique(grid[rows, steps], return_inverse=True)
     X = ad.gather_rows(P["enc.emb"], distinct)
-    XW = {d: ad.gather_rows(ad.matmul(X, P[f"enc.lstm_{d}.W"]), inv)
-          for d in "fb"}
-    fwd = ad.lstm_seq(XW["f"], P["enc.lstm_f.U"], P["enc.lstm_f.b"], counts)
-    bwd = ad.lstm_seq(XW["b"], P["enc.lstm_b.U"], P["enc.lstm_b.b"], counts,
-                      reverse=True)
-    states = ad.hstack([fwd, bwd])
+    states = ad.hstack([_direction(P, X, inv, counts, d) for d in "fb"])
     scores = ad.tanh(ad.add_bias(ad.matmul(states, P["enc.att.w"]), P["enc.att.b"]))
 
     # attention weights over the (R', T) grid; pad cells read packed row
@@ -118,3 +113,13 @@ def _encode_sorted(P: dict, grid: np.ndarray, mask: np.ndarray, E: int) -> ad.No
         ad.reshape(ad.gather_rows(scores, cell.reshape(-1)), Rs, T), mask)
     beta = ad.gather_rows(ad.reshape(betas, Rs * T, 1), rows * T + steps)
     return ad.packed_sum(ad.scale_columns(states, beta), counts)
+
+
+def _direction(P: dict, X: ad.Node, inv: np.ndarray, counts, d: str) -> ad.Node:
+    """LSTM direction ``d`` ("f" or "b") over the packed tokens, from the
+    distinct tokens' embeddings ``X`` and each token's index ``inv`` in
+    them. One direction at a time: without a tape, this direction's
+    (N, 4E) input projections are freed before the next one's are made."""
+    XW = ad.gather_rows(ad.matmul(X, P[f"enc.lstm_{d}.W"]), inv)
+    return ad.lstm_seq(XW, P[f"enc.lstm_{d}.U"], P[f"enc.lstm_{d}.b"], counts,
+                       reverse=d == "b")

@@ -11,8 +11,8 @@ loss computes anything for it.
 
 Each GRU of a stream is one ``ad.gru_seq`` node over all steps, with its
 input projections for every step made in one matmul beforehand: ``X W``
-for the shared GRU, ``X_aug W + H_s U^s`` for a private one, whose bias
-is a zero constant. The r|z|h gate blocks are concatenated at run time
+for the shared GRU, ``X_aug W + H_s U^s`` for a private one, which has
+no bias. The r|z|h gate blocks are concatenated at run time
 from the separately named parameters, so the checkpoint format is the
 one of a per-gate model. The heads read each stream's fused (N, K)
 output whole.
@@ -103,8 +103,7 @@ def gates(P: dict, prefix: str, part: str) -> ad.Node:
     return ad.hstack([P[f"{prefix}.{part}_{g}"] for g in _GATES])
 
 
-def _task_stream(P: dict, task: str, X: ad.Node, C, shared, counts,
-                 K: int) -> ad.Node:
+def _task_stream(P: dict, task: str, X: ad.Node, C, shared, counts) -> ad.Node:
     """One task's pass: shared-state sequence from this task's X using the
     single shared parameter set (``shared`` = its W, U, b gate blocks),
     then the private variant on top, whose input projection also reads
@@ -116,12 +115,11 @@ def _task_stream(P: dict, task: str, X: ad.Node, C, shared, counts,
     X_aug = X if C is None else ad.hstack([X, C])
     XW = ad.add(ad.matmul(X_aug, gates(P, pre, "W")),
                 ad.matmul(H_s, gates(P, pre, "Us")))
-    return ad.gru_seq(XW, gates(P, pre, "U"), ad.constant(np.zeros((1, 3 * K))),
-                      counts)
+    return ad.gru_seq(XW, gates(P, pre, "U"), None, counts)
 
 
-def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, counts, K: int,
-                    use_st: bool, use_aux: bool):
+def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, counts, use_st: bool,
+                    use_aux: bool):
     """V is (N, 2E) in the packed layout of the step counts ``counts``;
     turn holds the (N,) turn flags of the same rows.
 
@@ -134,6 +132,6 @@ def run_interaction(P: dict, V: ad.Node, turn: np.ndarray, counts, K: int,
     C = ad.gather_rows(P["turn.emb"], turn) if use_st else None
     shared = tuple(gates(P, "gru_s", part) for part in ("W", "U", "b"))
 
-    H_m = _task_stream(P, "m", X_m, C, shared, counts, K)
-    H_a = _task_stream(P, "a", X_a, C, shared, counts, K) if use_aux else None
+    H_m = _task_stream(P, "m", X_m, C, shared, counts)
+    H_a = _task_stream(P, "a", X_a, C, shared, counts) if use_aux else None
     return H_m, H_a

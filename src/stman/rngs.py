@@ -7,6 +7,8 @@ and of the order in which they are created. Negative seeds are folded
 into the 64-bit ring so any Python int is accepted.
 """
 
+from __future__ import annotations
+
 import hashlib
 
 import numpy as np

@@ -277,7 +277,7 @@ def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
     V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, pk.rows, rate,
                             drop_rng)
     H_m, H_a = interaction.run_interaction(P, V, pk.take(batch.turn), pk.counts,
-                                           cfg.K, cfg.use_st, cfg.use_aux)
+                                           cfg.use_st, cfg.use_aux)
     keep = (batch.is_user & batch.utt_valid) if cfg.use_mask else batch.utt_valid
     z_m, _ = heads.use_decode_steps(P, H_m, keep[pk.order], pk.counts)
     # packed dialogue order back to batch order
@@ -480,12 +480,16 @@ def _length_sorted_batches(dialogues: list, counts: np.ndarray, vocab: cp.Vocabu
     descending utterance count ``counts``, a stable sort so that ties
     keep corpus order. Neighbours in that order have nearly equal
     lengths, so each batch pads to its own dialogues' L, not to the
-    longest of a random handful."""
+    longest of a random handful. Each batch is built only when it is
+    asked for, so one batch's arrays are alive at a time, however long
+    the corpus."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.argsort(-counts, kind="stable")
-    start = 0
-    for batch in cp.batchify([dialogues[i] for i in order], vocab, batch_size):
-        yield order[start:start + batch.size], batch
-        start += batch.size
+    for start in range(0, order.size, batch_size):
+        indices = order[start:start + batch_size]
+        (batch,) = cp.batchify([dialogues[i] for i in indices], vocab, batch_size)
+        yield indices, batch
 
 
 def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,

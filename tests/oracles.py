@@ -278,3 +278,114 @@ def dialogue_forward_ref(params, token_ids, roles, turn_flags, sat_id, sent_ids,
         out["pk_a"] = pk_a
         out["adv_value"] = adv / (2.0 * L)
     return out
+
+
+def _offsets(counts):
+    offs = [0]
+    for n in counts:
+        offs.append(offs[-1] + int(n))
+    return offs
+
+
+def lstm_seq_ref(xw, u, b, counts, dH, reverse=False):
+    """A packed LSTM direction and its BPTT, step by step over whole-length
+    state arrays: the forward copies each step's start state into
+    ``h_prev``/``c_prev`` rows and computes every gate with fresh
+    temporaries. Returns (H, dXW, dU, db) for the upstream gradient
+    ``dH``; ``ad.lstm_seq`` must agree bit for bit."""
+    E = u.shape[0]
+    offs = _offsets(counts)
+    N, T = xw.shape[0], len(offs) - 1
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    acts = np.empty((N, 4 * E))
+    h_prev = np.zeros((N, E))
+    c_prev = np.zeros((N, E))
+    tanh_c = np.empty((N, E))
+    H = np.empty((N, E))
+    C = np.empty((N, E))
+    last = None
+    for j in steps:
+        lo, hi = offs[j], offs[j + 1]
+        if last is not None:
+            k = min(hi - lo, last[1] - last[0])
+            h_prev[lo : lo + k] = H[last[0] : last[0] + k]
+            c_prev[lo : lo + k] = C[last[0] : last[0] + k]
+        pre = xw[lo:hi] + h_prev[lo:hi] @ u
+        pre += b
+        a = acts[lo:hi]
+        a[:, : 3 * E] = 0.5 * (np.tanh(0.5 * pre[:, : 3 * E]) + 1.0)
+        a[:, 3 * E :] = np.tanh(pre[:, 3 * E :])
+        C[lo:hi] = a[:, E : 2 * E] * c_prev[lo:hi] + a[:, :E] * a[:, 3 * E :]
+        tanh_c[lo:hi] = np.tanh(C[lo:hi])
+        H[lo:hi] = a[:, 2 * E : 3 * E] * tanh_c[lo:hi]
+        last = (lo, hi)
+
+    deriv = acts * (1.0 - acts)
+    deriv[:, 3 * E :] = 1.0 - acts[:, 3 * E :] ** 2
+    dpre = np.empty((N, 4 * E))
+    dh_next = dc_next = np.zeros((0, E))
+    for j in reversed(steps):
+        lo, hi = offs[j], offs[j + 1]
+        a, tc = acts[lo:hi], tanh_c[lo:hi]
+        dh = dH[lo:hi].copy()
+        k = min(hi - lo, dh_next.shape[0])
+        dh[:k] += dh_next[:k]
+        dc = dh * a[:, 2 * E : 3 * E] * (1.0 - tc * tc)
+        dc[:k] += dc_next[:k]
+        dp = dpre[lo:hi]
+        dp[:, :E] = dc * a[:, 3 * E :]
+        dp[:, E : 2 * E] = dc * c_prev[lo:hi]
+        dp[:, 2 * E : 3 * E] = dh * tc
+        dp[:, 3 * E :] = dc * a[:, :E]
+        dp *= deriv[lo:hi]
+        dh_next = dp @ u.T
+        dc_next = dc * a[:, E : 2 * E]
+    return H, dpre, h_prev.T @ dpre, dpre.sum(axis=0, keepdims=True)
+
+
+def gru_seq_ref(xw, u, b, counts, dH):
+    """A packed GRU and its BPTT, step by step over whole-length state
+    arrays with fresh temporaries for every gate. Returns
+    (H, dXW, dU, db) for the upstream gradient ``dH``; ``ad.gru_seq``
+    must agree bit for bit."""
+    K = u.shape[0]
+    offs = _offsets(counts)
+    N, T = xw.shape[0], len(offs) - 1
+    u_rz, u_h = u[:, : 2 * K], u[:, 2 * K :]
+    acts = np.empty((N, 3 * K))
+    h_prev = np.zeros((N, K))
+    hr = np.empty((N, K))
+    H = np.empty((N, K))
+    for j in range(T):
+        lo, hi = offs[j], offs[j + 1]
+        if j:
+            h_prev[lo:hi] = H[offs[j - 1] : offs[j - 1] + hi - lo]
+        hp, a = h_prev[lo:hi], acts[lo:hi]
+        pre = xw[lo:hi, : 2 * K] + hp @ u_rz
+        pre += b[:, : 2 * K]
+        a[:, : 2 * K] = 0.5 * (np.tanh(0.5 * pre) + 1.0)
+        np.multiply(hp, a[:, :K], out=hr[lo:hi])
+        pre = xw[lo:hi, 2 * K :] + hr[lo:hi] @ u_h
+        pre += b[:, 2 * K :]
+        np.tanh(pre, out=a[:, 2 * K :])
+        z = a[:, K : 2 * K]
+        H[lo:hi] = hp - z * hp + z * a[:, 2 * K :]
+
+    dpre = np.empty((N, 3 * K))
+    dh_next = np.zeros((0, K))
+    for j in range(T - 1, -1, -1):
+        lo, hi = offs[j], offs[j + 1]
+        a, hp = acts[lo:hi], h_prev[lo:hi]
+        r, z, c = a[:, :K], a[:, K : 2 * K], a[:, 2 * K :]
+        dh = dH[lo:hi].copy()
+        dh[: dh_next.shape[0]] += dh_next
+        dp = dpre[lo:hi]
+        dp[:, 2 * K :] = dh * z * (1.0 - c * c)
+        dhr = dp[:, 2 * K :] @ u_h.T
+        dp[:, :K] = dhr * hp * r * (1.0 - r)
+        dp[:, K : 2 * K] = dh * (c - hp) * z * (1.0 - z)
+        dh_next = dh - dh * z + dhr * r + dp[:, : 2 * K] @ u_rz.T
+    dU = np.empty((K, 3 * K))
+    np.matmul(h_prev.T, dpre[:, : 2 * K], out=dU[:, : 2 * K])
+    np.matmul(hr.T, dpre[:, 2 * K :], out=dU[:, 2 * K :])
+    return H, dpre, dU, dpre.sum(axis=0, keepdims=True)

@@ -162,7 +162,7 @@ def test_criterion_3_oracle_equivalence():
     flags = [1, 0, 1]
     leaves = {k: ad.leaf(v) for k, v in P.items()}
     H_m, H_a = it.run_interaction(leaves, ad.constant(V), np.array(flags),
-                                  [1] * L, K, use_st=True, use_aux=True)
+                                  [1] * L, use_st=True, use_aux=True)
     for x_ref, H, prefix in (
             (np.tanh(V @ P["proj.m.W"] + P["proj.m.b"]), H_m, "gru_m"),
             (np.tanh(V @ P["proj.a.W"] + P["proj.a.b"]), H_a, "gru_a")):

@@ -2,6 +2,7 @@
 finite-difference sweep across every differentiable op."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import stman.autodiff as ad
 import stman.encoder as enc
-from oracles import (GRAD_TOL, gru_shared_ref, lstm_cell_ref, numeric_grad, rel_err,
-                     softmax_rows_mp)
+from oracles import (GRAD_TOL, gru_seq_ref, gru_shared_ref, lstm_cell_ref, lstm_seq_ref,
+                     numeric_grad, rel_err, softmax_rows_mp)
 from testkit import softmax, sum_all
 
 
@@ -466,6 +467,89 @@ def test_gru_seq_records_one_node_per_call():
     with ad.Tape() as tape:
         ad.gru_seq(xw, U, b, RAGGED_COUNTS)
         assert len(tape.nodes) == 1
+
+
+# equal neighbouring counts, single-row steps and a lone one-row sequence
+BITWISE_COUNTS = [[4, 3, 3, 1, 1], [5, 5, 2, 2, 2, 1], [3, 3, 3], [2, 1, 1, 1], [1],
+                  [6, 4, 4, 4, 3, 1]]
+
+
+def _seq_through_tape(op, xw, U, b, dH):
+    """Value of ``op`` on constants, then value and gradients on leaves
+    under a tape, for the upstream gradient ``dH``."""
+    plain = op(ad.constant(xw), ad.constant(U), None if b is None else ad.constant(b)).value
+    leaves = [ad.leaf(xw.copy()), ad.leaf(U.copy()), None if b is None else ad.leaf(b.copy())]
+    with ad.Tape() as tape:
+        H = op(*leaves)
+        tape.backward(sum_all(ad.hadamard(H, ad.constant(dH))))
+    return plain, H.value, [lf.grad for lf in leaves if lf is not None]
+
+
+@pytest.mark.parametrize("counts", BITWISE_COUNTS, ids=str)
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_lstm_seq_is_bitwise_the_step_by_step_reference(counts, reverse):
+    """Without a tape and under one, output and the XW, U and b gradients
+    equal those of the reference loop over whole-length state arrays."""
+    rng = np.random.default_rng(40)
+    for E in (1, 3, 8):
+        N = sum(counts)
+        xw, dH = rng.normal(size=(N, 4 * E)), rng.normal(size=(N, E))
+        U, b = rng.normal(scale=0.5, size=(E, 4 * E)), rng.normal(size=(1, 4 * E))
+        H_ref, *grads_ref = lstm_seq_ref(xw, U, b, counts, dH.copy(), reverse)
+        plain, H, grads = _seq_through_tape(
+            lambda x, u, c: ad.lstm_seq(x, u, c, counts, reverse=reverse), xw, U, b, dH)
+        assert np.array_equal(plain, H_ref) and np.array_equal(H, H_ref)
+        assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref))
+
+
+@pytest.mark.parametrize("counts", BITWISE_COUNTS, ids=str)
+def test_gru_seq_is_bitwise_the_step_by_step_reference(counts):
+    """As for lstm_seq; no bias (None) is bitwise a zero bias."""
+    rng = np.random.default_rng(41)
+    for K in (1, 3, 8):
+        N = sum(counts)
+        xw, dH = rng.normal(size=(N, 3 * K)), rng.normal(size=(N, K))
+        U, b = rng.normal(scale=0.5, size=(K, 3 * K)), rng.normal(size=(1, 3 * K))
+        for bias in (b, np.zeros((1, 3 * K))):
+            H_ref, *grads_ref = gru_seq_ref(xw, U, bias, counts, dH.copy())
+            plain, H, grads = _seq_through_tape(
+                lambda x, u, c: ad.gru_seq(x, u, c, counts), xw, U, bias, dH)
+            assert np.array_equal(plain, H_ref) and np.array_equal(H, H_ref)
+            assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref))
+        plain, H, grads = _seq_through_tape(
+            lambda x, u, c: ad.gru_seq(x, u, c, counts), xw, U, None, dH)
+        assert np.array_equal(plain, H_ref) and np.array_equal(H, H_ref)
+        assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref[:2]))
+
+
+def test_untaped_lstm_seq_keeps_no_per_row_state():
+    """Without a tape the gates, the cell's tanh and the start states
+    live for one step: the call peaks lower than a taped one by about
+    the size of those four arrays, one (N, 4E) and three (N, E)."""
+    E, counts = 16, [40] * 100
+    N = sum(counts)
+    rng = np.random.default_rng(42)
+    xw = rng.normal(size=(N, 4 * E))
+    U, b = rng.normal(scale=0.5, size=(E, 4 * E)), rng.normal(size=(1, 4 * E))
+    saved = 7 * N * E * 8
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for taped in (False, True):
+            leaves = [ad.leaf(xw), ad.leaf(U), ad.leaf(b)]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            if taped:
+                with ad.Tape():
+                    H = ad.lstm_seq(*leaves, counts)
+            else:
+                H = ad.lstm_seq(*leaves, counts)
+            peaks[taped] = tracemalloc.get_traced_memory()[1] - base
+            del H
+    finally:
+        tracemalloc.stop()
+    # less the one step's rows an untaped call reuses
+    assert peaks[True] - peaks[False] >= 0.95 * saved
 
 
 def _recurrent_leaves(rng):

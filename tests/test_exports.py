@@ -2,12 +2,16 @@
 so a star import never fails on a stale entry, and is used by code
 outside the tests; every autodiff op has a caller in the package; and
 the task and adversarial forwards record a tape whose size does not
-grow with the dialogue length."""
+grow with the dialogue length; and importing the evaluation and training
+modules does not load ``numpy.random``."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,14 @@ def test_forward_tape_size_does_not_grow_with_dialogue_length(forward):
         sizes.append((batch.utt_valid.shape[1], len(tape.nodes)))
     assert [L for L, _ in sizes] == [3, 12]
     assert sizes[0][1] == sizes[1][1]
+
+
+def test_importing_the_evaluation_and_training_modules_leaves_numpy_random_unloaded():
+    """numpy loads ``numpy.random`` lazily; a process that only evaluates
+    draws no random number and should not pay for it."""
+    src = str(Path(stman.__file__).resolve().parents[1])
+    code = ("import sys, stman.evalcli, stman.training; "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "False"

@@ -87,11 +87,10 @@ def shared_gru(P, X, B, L):
 def task_gru(P, task, X_aug, H_s, B, L):
     """A task-private GRU over position-major X_aug and shared states H_s,
     as run_interaction runs it; returns the (L*B, K) states."""
-    leaves, K = as_leaves(P), H_s.shape[1]
+    leaves = as_leaves(P)
     pre = f"gru_{task}"
     XW = X_aug @ it.gates(leaves, pre, "W").value + H_s @ it.gates(leaves, pre, "Us").value
-    return ad.gru_seq(ad.constant(XW), it.gates(leaves, pre, "U"),
-                      ad.constant(np.zeros((1, 3 * K))), [B] * L).value
+    return ad.gru_seq(ad.constant(XW), it.gates(leaves, pre, "U"), None, [B] * L).value
 
 
 def test_shared_gru_zero_params_halve_the_state():
@@ -179,12 +178,12 @@ def test_task_gru_with_zero_shared_weights_is_biasless_gru():
         assert np.max(np.abs(H[t * B : (t + 1) * B] - h)) <= 1e-12
 
 
-def run_toy(P, V_val, turn, B, L, K, **kw):
+def run_toy(P, V_val, turn, B, L, **kw):
     """B dialogues of L utterances each: position-major rows are packed
     rows, step t the B rows from t*B."""
     leaves = as_leaves(P)
     return it.run_interaction(leaves, ad.constant(V_val), turn.T.reshape(-1),
-                              [B] * L, K, **kw), leaves
+                              [B] * L, **kw), leaves
 
 
 def test_run_interaction_matches_dialogue_oracle():
@@ -197,7 +196,7 @@ def test_run_interaction_matches_dialogue_oracle():
     V = rng.normal(size=(L, 2 * E)) * 0.5
     flags = [1, 0, 1]
 
-    (H_m, H_a), leaves = run_toy(P, V, np.array([flags]), 1, L, K,
+    (H_m, H_a), leaves = run_toy(P, V, np.array([flags]), 1, L,
                                  use_st=True, use_aux=True)
     # scalar recurrence, one dialogue
     x_m = np.tanh(V @ P["proj.m.W"] + P["proj.m.b"])
@@ -224,18 +223,18 @@ def test_each_stream_equals_its_own_shared_and_private_runs():
     P = make_params(E, K, Z, use_st=False, seed=25)
     V = np.random.default_rng(26).normal(size=(L * B, 2 * E))
     turn = np.zeros((B, L), dtype=int)
-    (H_m, H_a), leaves = run_toy(P, V, turn, B, L, K, use_st=False, use_aux=True)
+    (H_m, H_a), leaves = run_toy(P, V, turn, B, L, use_st=False, use_aux=True)
     for task, H in (("m", H_m), ("a", H_a)):
         X = it.project(leaves, ad.constant(V), task).value
         want = task_gru(P, task, X, shared_gru(P, X, B, L), B, L)
         assert np.max(np.abs(H.value - want)) <= 1e-12
-    (H_solo, no_a), _ = run_toy(P, V, turn, B, L, K, use_st=False, use_aux=False)
+    (H_solo, no_a), _ = run_toy(P, V, turn, B, L, use_st=False, use_aux=False)
     assert no_a is None
     assert np.max(np.abs(H_solo.value - H_m.value)) <= 1e-12
     for task in ("m", "a"):
         # move one stream's inputs; only that stream's states may change
         shifted = dict(P, **{f"proj.{task}.W": P[f"proj.{task}.W"] + 0.5})
-        (Hm2, Ha2), _ = run_toy(shifted, V, turn, B, L, K, use_st=False, use_aux=True)
+        (Hm2, Ha2), _ = run_toy(shifted, V, turn, B, L, use_st=False, use_aux=True)
         assert np.array_equal(Hm2.value, H_m.value) == (task == "a")
         assert np.array_equal(Ha2.value, H_a.value) == (task == "m")
 
@@ -246,11 +245,11 @@ def test_batches_are_independent():
     rng = np.random.default_rng(14)
     V = rng.normal(size=(L * B, 2 * E))
     turn = np.array([[0, 1], [1, 1]])
-    (H_m, H_a), _ = run_toy(P, V, turn, B, L, K, use_st=True, use_aux=True)
+    (H_m, H_a), _ = run_toy(P, V, turn, B, L, use_st=True, use_aux=True)
     assert H_m.shape == H_a.shape == (L * B, K)
     for b in range(B):
         Vb = np.vstack([V[t * B + b] for t in range(L)])
-        (Hm1, Ha1), _ = run_toy(P, Vb, turn[b : b + 1], 1, L, K,
+        (Hm1, Ha1), _ = run_toy(P, Vb, turn[b : b + 1], 1, L,
                                 use_st=True, use_aux=True)
         for t in range(L):
             assert np.max(np.abs(H_m.value[t * B + b] - Hm1.value[t])) <= 1e-12
@@ -263,9 +262,9 @@ def test_turn_flag_changes_only_later_steps():
     V = np.random.default_rng(16).normal(size=(L, 2 * E))
     turn_a = np.array([[0, 1, 1, 0]])
     turn_b = np.array([[0, 1, 0, 0]])  # differs at t=2
-    (Ha, _), _ = run_toy(P, V, turn_a, 1, L, K,
+    (Ha, _), _ = run_toy(P, V, turn_a, 1, L,
                          use_st=True, use_aux=False)
-    (Hb, _), _ = run_toy(P, V, turn_b, 1, L, K,
+    (Hb, _), _ = run_toy(P, V, turn_b, 1, L,
                          use_st=True, use_aux=False)
     for t in range(2):
         assert np.array_equal(Ha.value[t], Hb.value[t])
@@ -282,12 +281,12 @@ def test_streams_coincide_only_when_private_params_do():
         for part in ("W", "U", "Us"):
             P[f"gru_a.{part}_{g}"] = P[f"gru_m.{part}_{g}"].copy()
     V = np.random.default_rng(18).normal(size=(L, 2 * E))
-    (H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L, K,
+    (H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L,
                             use_st=False, use_aux=True)
     for t in range(L):
         assert np.array_equal(H_m.value[t], H_a.value[t])
     P["proj.a.W"] = P["proj.a.W"] + 0.05
-    (H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L, K,
+    (H_m, H_a), _ = run_toy(P, V, np.zeros((1, L), dtype=int), 1, L,
                             use_st=False, use_aux=True)
     assert np.max(np.abs(H_m.value[L - 1] - H_a.value[L - 1])) > 1e-8
 
@@ -309,9 +308,9 @@ def test_zero_turn_embedding_matches_variant_without_it():
             P_off[name] = value
     V = np.random.default_rng(20).normal(size=(L, 2 * E))
     turn = np.array([[0, 1, 1]])
-    (Ha, _), _ = run_toy(P, V, turn, 1, L, K,
+    (Ha, _), _ = run_toy(P, V, turn, 1, L,
                          use_st=True, use_aux=True)
-    (Hb, _), _ = run_toy(P_off, V, turn, 1, L, K,
+    (Hb, _), _ = run_toy(P_off, V, turn, 1, L,
                          use_st=False, use_aux=True)
     for t in range(L):
         assert np.max(np.abs(Ha.value[t] - Hb.value[t])) <= 1e-13
@@ -325,7 +324,7 @@ def test_shared_gru_receives_gradient_from_both_streams():
         leaves = as_leaves(P)
         with ad.Tape() as tape:
             H_m, H_a = it.run_interaction(
-                leaves, ad.constant(V), np.zeros(L, dtype=int), [1] * L, K,
+                leaves, ad.constant(V), np.zeros(L, dtype=int), [1] * L,
                 use_st=False, use_aux=True)
             H = (H_m, H_a)[task_index]
             tape.backward(sum_all(ad.gather_rows(H, [L - 1])))
@@ -349,7 +348,7 @@ def test_gradients_match_finite_differences():
 
     def build(leaves):
         H_m, H_a = it.run_interaction(
-            leaves, ad.constant(V), turn.T.reshape(-1), [B] * L, K,
+            leaves, ad.constant(V), turn.T.reshape(-1), [B] * L,
             use_st=True, use_aux=True)
         final = np.arange((L - 1) * B, L * B)  # the last step's rows
         return ad.add(

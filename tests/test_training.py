@@ -469,6 +469,33 @@ def test_predict_batches_dialogues_in_stable_descending_length_order(monkeypatch
         "d1", "d3", "d8", "d6", "d2", "d5", "d0", "d7", "d4"]
 
 
+def test_predict_builds_one_batch_of_at_most_batch_size_dialogues_at_a_time(monkeypatch):
+    """Memory does not grow with the corpus: batchify never sees more
+    than one batch's dialogues, and each batch is built only after the
+    one before it has run."""
+    dialogues = dialogues_of_lengths([2, 5, 3, 5, 1, 3, 4, 2, 5, 1, 2])
+    vocab = cp.build_vocab(dialogues, min_count=1)
+    cfg = small_config(batch=3)
+    params = tr.init_params(cfg, len(vocab))
+    want = tr.predict(params, dialogues, vocab, cfg)
+    events = []
+    real_batchify, real_forward = cp.batchify, tr.forward_task
+
+    def spy_batchify(ds, vocab, batch_size):
+        events.append(("batchify", len(ds)))
+        return real_batchify(ds, vocab, batch_size)
+
+    def spy_forward(*args, **kwargs):
+        events.append(("forward", None))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(cp, "batchify", spy_batchify)
+    monkeypatch.setattr(tr, "forward_task", spy_forward)
+    assert tr.predict(params, dialogues, vocab, cfg) == want
+    assert events == [("batchify", 3), ("forward", None)] * 3 + [
+        ("batchify", 2), ("forward", None)]
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_predict_rejects_batch_size_below_one(batch_size):
     dialogues = toy_dialogues()
