@@ -1,10 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Every value is a 2-D numpy array (row-major, 64-bit). Operations wrap
-results in Node objects and record them on the active Tape; Tape.backward
-runs the records once, in reverse creation order, which is always a valid
-topological order because parents are created before children, and frees
-each record's saved state as it passes.
+results in Node objects. A differentiable result recorded on the active
+Tape also gets a Record: its gradient and its backward rule. The tape
+holds the Records, not the Nodes, and a rule closes over its own Record,
+its parents' Records and only the arrays its backward reads, never over
+a Node. So a forward value lives as long as the caller's Node, or as long
+as a rule that reads it: an intermediate no backward reads is freed as
+soon as the forward code drops it. Tape.backward runs the records once,
+in reverse creation order, which is always a valid topological order
+because parents are created before children, and frees each record's
+saved state as it passes.
 
 One tape belongs to one single-threaded run. The active-tape stack is
 thread-local, so independent runs may proceed concurrently on disjoint
@@ -24,6 +30,7 @@ __all__ = [
     "ShapeError",
     "ContractError",
     "Node",
+    "Record",
     "Tape",
     "leaf",
     "constant",
@@ -52,23 +59,45 @@ class ContractError(ValueError):
     """A documented precondition was violated."""
 
 
+class Record:
+    """The gradient side of a differentiable node: what backward reads
+    and writes. A tape lists the records of its nodes; a leaf's record
+    is on no tape, so it keeps its gradient."""
+
+    __slots__ = ("grad", "backward_rule")
+
+    def __init__(self):
+        self.grad = None
+        self.backward_rule = None
+
+
 class Node:
-    """One value in the computation graph.
+    """One value in the computation graph, and its Record when it is
+    differentiable: a leaf, or an op result recorded on a tape. A
+    constant, or an op result with no tape or no differentiable parent,
+    has none (requires_grad is False) and never accumulates gradient.
 
     ``grad`` stays None until backward first reaches the node; on a
     recorded node it is None again once backward has run the node's rule.
-    A node created as a constant (requires_grad=False) never accumulates
-    gradient.
     """
 
-    __slots__ = ("value", "grad", "parents", "backward_rule", "requires_grad")
+    __slots__ = ("value", "rec")
 
-    def __init__(self, value, parents=(), backward_rule=None, requires_grad=False):
+    def __init__(self, value, rec=None):
         self.value = value
-        self.grad = None
-        self.parents = parents
-        self.backward_rule = backward_rule
-        self.requires_grad = requires_grad
+        self.rec = rec
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.rec is not None
+
+    @property
+    def grad(self):
+        return None if self.rec is None else self.rec.grad
+
+    @property
+    def backward_rule(self):
+        return None if self.rec is None else self.rec.backward_rule
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -89,17 +118,19 @@ _ONE = np.ones((1, 1))
 
 
 class Tape:
-    """Creation-ordered record of the differentiable nodes of one run.
+    """Creation-ordered Records of the differentiable nodes of one run.
 
-    A tape runs backward once. As the sweep passes each recorded node it
-    drops the node's rule (and with it the gates, states and operands the
-    rule saved) and the node's gradient, so the part of the graph already
-    differentiated is freed while the rest runs. Node values stay, and
-    leaves are not on the tape, so they keep their gradients.
+    ``nodes`` lists Records, not Nodes: a tape keeps no node value alive.
+    A value lives as long as the caller's Node, or as long as a rule
+    that reads it. A tape runs backward once. As the sweep passes each
+    record it drops the record's rule (and with it the gates, states and
+    operands the rule saved) and its gradient, so the part of the graph
+    already differentiated is freed while the rest runs. Leaves' records
+    are not on the tape, so they keep their gradients.
     """
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[Record] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -109,11 +140,11 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> bool:
         popped = _ACTIVE.stack.pop()
         assert popped is self, "tapes must unwind in LIFO order"
-        # each rule closes over its own output node; dropping the rules of
-        # a tape that never ran backward breaks those cycles so the graph
+        # each rule closes over its own record; dropping the rules of a
+        # tape that never ran backward breaks those cycles so the graph
         # is freed by reference counting
-        for node in self.nodes:
-            node.backward_rule = None
+        for rec in self.nodes:
+            rec.backward_rule = None
         return False
 
     def backward(self, loss: Node) -> None:
@@ -131,12 +162,11 @@ class Tape:
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward: loss must be 1x1, got {loss.value.shape}")
         self._spent = True
-        if loss.requires_grad:
-            _acc_copy(loss, _ONE)
-        for node in reversed(self.nodes):
-            if node.backward_rule is not None and node.grad is not None:
-                node.backward_rule()
-            node.backward_rule = node.grad = None
+        _acc_copy(loss.rec, _ONE)
+        for rec in reversed(self.nodes):
+            if rec.backward_rule is not None and rec.grad is not None:
+                rec.backward_rule()
+            rec.backward_rule = rec.grad = None
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -152,65 +182,71 @@ def _as_matrix(data) -> np.ndarray:
 
 def leaf(data) -> Node:
     """Trainable input node; shares memory with ``data`` when possible."""
-    return Node(_as_matrix(data), (), None, True)
+    return Node(_as_matrix(data), Record())
 
 
 def constant(data) -> Node:
     """Non-trainable input node; never accumulates gradient."""
-    return Node(_as_matrix(data), (), None, False)
+    return Node(_as_matrix(data))
 
 
-def _record(value: np.ndarray, parents: tuple) -> tuple[Node, bool]:
-    stack = _ACTIVE.stack
-    if stack:
-        for p in parents:
-            if p.requires_grad:
-                node = Node(value, parents, None, True)
-                stack[-1].nodes.append(node)
-                return node, True
-    return Node(value), False
+def _record(value: np.ndarray, parents: tuple) -> Node:
+    """``value`` as a Node, with a Record on the active tape when a
+    parent is differentiable; otherwise with none, and nothing else is
+    allocated."""
+    if _will_record(parents):
+        rec = Record()
+        _ACTIVE.stack[-1].nodes.append(rec)
+        return Node(value, rec)
+    return Node(value)
 
 
 def _will_record(parents: tuple) -> bool:
     """Whether ``_record`` will put a node with these parents on a tape."""
-    return bool(_ACTIVE.stack) and any(p.requires_grad for p in parents)
+    return bool(_ACTIVE.stack) and any(p.rec is not None for p in parents)
 
 
-def _acc(node: Node, g: np.ndarray) -> None:
-    # g is a fresh array the node may take ownership of
-    if not node.requires_grad:
+def _acc(rec: Record | None, g: np.ndarray) -> None:
+    # g is a fresh array the record may take ownership of
+    if rec is None:
         return
-    if node.grad is None:
-        node.grad = g
+    if rec.grad is None:
+        rec.grad = g
     else:
-        node.grad += g
+        rec.grad += g
 
 
-def _acc_copy(node: Node, g: np.ndarray) -> None:
+def _acc_copy(rec: Record | None, g: np.ndarray) -> None:
     # g is a view or shared buffer; copy before taking ownership
-    if not node.requires_grad:
+    if rec is None:
         return
-    if node.grad is None:
-        node.grad = g.copy()
+    if rec.grad is None:
+        rec.grad = g.copy()
     else:
-        node.grad += g
+        rec.grad += g
 
 
 def matmul(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {av.shape} vs {bv.shape}")
-    out, rec = _record(av @ bv, (a, b))
-    if rec:
+    out = _record(av @ bv, (a, b))
+    rec, ra, rb = out.rec, a.rec, b.rec
+    if rec is not None:
+        # each operand is kept only for the other's gradient
+        if ra is None:
+            bv = None
+        if rb is None:
+            av = None
 
         def rule():
-            g = out.grad
-            if a.requires_grad:
-                _acc(a, g @ bv.T)
-            if b.requires_grad:
-                _acc(b, av.T @ g)
+            g = rec.grad
+            if ra is not None:
+                _acc(ra, g @ bv.T)
+            if rb is not None:
+                _acc(rb, av.T @ g)
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -221,43 +257,51 @@ def _check_same_shape(op: str, a: Node, b: Node) -> None:
 
 def add(a: Node, b: Node) -> Node:
     _check_same_shape("add", a, b)
-    out, rec = _record(a.value + b.value, (a, b))
-    if rec:
+    out = _record(a.value + b.value, (a, b))
+    rec, ra, rb = out.rec, a.rec, b.rec
+    if rec is not None:
 
         def rule():
-            g = out.grad
-            _acc_copy(a, g)
-            _acc_copy(b, g)
+            g = rec.grad
+            _acc_copy(ra, g)
+            _acc_copy(rb, g)
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
 def hadamard(a: Node, b: Node) -> Node:
     _check_same_shape("hadamard", a, b)
-    out, rec = _record(a.value * b.value, (a, b))
-    if rec:
+    av, bv = a.value, b.value
+    out = _record(av * bv, (a, b))
+    rec, ra, rb = out.rec, a.rec, b.rec
+    if rec is not None:
+        if ra is None:
+            bv = None
+        if rb is None:
+            av = None
 
         def rule():
-            g = out.grad
-            if a.requires_grad:
-                _acc(a, g * b.value)
-            if b.requires_grad:
-                _acc(b, g * a.value)
+            g = rec.grad
+            if ra is not None:
+                _acc(ra, g * bv)
+            if rb is not None:
+                _acc(rb, g * av)
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
 def tanh(x: Node) -> Node:
     y = np.tanh(x.value)
-    out, rec = _record(y, (x,))
-    if rec:
+    out = _record(y, (x,))
+    rec, rx = out.rec, x.rec
+    if rec is not None:
 
         def rule():
-            _acc(x, out.grad * (1.0 - y * y))
+            _acc(rx, rec.grad * (1.0 - y * y))
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -281,16 +325,17 @@ def masked_softmax(scores: Node, keep) -> Node:
     denom = e.sum(axis=1, keepdims=True)
     # only a row with no kept position is zero; a NaN score stays NaN
     y = np.divide(e, denom, out=np.zeros_like(e), where=k.any(axis=1, keepdims=True))
-    out, rec = _record(y, (scores,))
-    if rec:
+    out = _record(y, (scores,))
+    rec, rs = out.rec, scores.rec
+    if rec is not None:
 
         def rule():
             # masked (zero) positions get zero gradient
-            g = out.grad
+            g = rec.grad
             dot = (g * y).sum(axis=1, keepdims=True)
-            _acc(scores, y * (g - dot))
+            _acc(rs, y * (g - dot))
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -307,13 +352,14 @@ def log_softmax_sum(z: Node, w) -> Node:
     shifted = z.value - z.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    out, rec = _record(np.array([[(wv * (shifted - np.log(total))).sum()]]), (z,))
-    if rec:
+    out = _record(np.array([[(wv * (shifted - np.log(total))).sum()]]), (z,))
+    rec, rz = out.rec, z.rec
+    if rec is not None:
 
         def rule():
-            _acc(z, out.grad[0, 0] * (wv - e / total * wv.sum(axis=1, keepdims=True)))
+            _acc(rz, rec.grad[0, 0] * (wv - e / total * wv.sum(axis=1, keepdims=True)))
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -325,16 +371,18 @@ def hstack(parts: Sequence[Node]) -> Node:
         if p.value.shape[0] != rows:
             raise ShapeError("hstack: row counts disagree")
     widths = [p.value.shape[1] for p in parts]
-    out, rec = _record(np.hstack([p.value for p in parts]), tuple(parts))
-    if rec:
+    out = _record(np.hstack([p.value for p in parts]), tuple(parts))
+    rec = out.rec
+    if rec is not None:
+        recs = [p.rec for p in parts]
         offsets = np.cumsum([0] + widths)
 
         def rule():
-            g = out.grad
-            for i, p in enumerate(parts):
-                _acc_copy(p, g[:, offsets[i] : offsets[i + 1]])
+            g = rec.grad
+            for i, r in enumerate(recs):
+                _acc_copy(r, g[:, offsets[i] : offsets[i + 1]])
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -342,16 +390,17 @@ def add_bias(x: Node, b: Node) -> Node:
     """Broadcast-add a 1xN bias row over every row of x."""
     if b.value.shape[0] != 1 or b.value.shape[1] != x.value.shape[1]:
         raise ShapeError(f"add_bias: bias {b.value.shape} vs operand {x.value.shape}")
-    out, rec = _record(x.value + b.value, (x, b))
-    if rec:
+    out = _record(x.value + b.value, (x, b))
+    rec, rx, rb = out.rec, x.rec, b.rec
+    if rec is not None:
 
         def rule():
-            g = out.grad
-            _acc_copy(x, g)
-            if b.requires_grad:
-                _acc(b, g.sum(axis=0, keepdims=True))
+            g = rec.grad
+            _acc_copy(rx, g)
+            if rb is not None:
+                _acc(rb, g.sum(axis=0, keepdims=True))
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -359,17 +408,23 @@ def scale_columns(x: Node, c: Node) -> Node:
     """Multiply every row of x by the matching scalar in the Mx1 column c."""
     if c.value.shape != (x.value.shape[0], 1):
         raise ShapeError(f"scale_columns: column {c.value.shape} vs operand {x.value.shape}")
-    out, rec = _record(x.value * c.value, (x, c))
-    if rec:
+    xv, cv = x.value, c.value
+    out = _record(xv * cv, (x, c))
+    rec, rx, rc = out.rec, x.rec, c.rec
+    if rec is not None:
+        if rx is None:
+            cv = None
+        if rc is None:
+            xv = None
 
         def rule():
-            g = out.grad
-            if x.requires_grad:
-                _acc(x, g * c.value)
-            if c.requires_grad:
-                _acc(c, (g * x.value).sum(axis=1, keepdims=True))
+            g = rec.grad
+            if rx is not None:
+                _acc(rx, g * cv)
+            if rc is not None:
+                _acc(rc, (g * xv).sum(axis=1, keepdims=True))
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -383,15 +438,16 @@ def gather_rows(table: Node, ids) -> Node:
     n, w = table.value.shape
     if idx.min() < 0 or idx.max() >= n:
         raise ShapeError(f"gather_rows: index out of range for table with {n} rows")
-    out, rec = _record(table.value[idx], (table,))
-    if rec:
+    out = _record(table.value[idx], (table,))
+    rec, rt = out.rec, table.rec
+    if rec is not None:
 
         def rule():
             cells = (idx[:, None] * w + np.arange(w)).ravel()
-            _acc(table, np.bincount(cells, weights=out.grad.ravel(),
-                                    minlength=n * w).reshape(n, w))
+            _acc(rt, np.bincount(cells, weights=rec.grad.ravel(),
+                                 minlength=n * w).reshape(n, w))
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -399,13 +455,15 @@ def reshape(x: Node, rows: int, cols: int) -> Node:
     """The values of x, read in row-major order, as a rows x cols matrix."""
     if rows * cols != x.value.size:
         raise ShapeError(f"reshape: cannot view {x.value.shape} as ({rows}, {cols})")
-    out, rec = _record(x.value.reshape(rows, cols).copy(), (x,))
-    if rec:
+    out = _record(x.value.reshape(rows, cols).copy(), (x,))
+    rec, rx = out.rec, x.rec
+    if rec is not None:
+        shape = x.value.shape
 
         def rule():
-            _acc_copy(x, out.grad.reshape(x.value.shape))
+            _acc_copy(rx, rec.grad.reshape(shape))
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -452,17 +510,19 @@ def packed_sum(x: Node, counts) -> Node:
     v = xv[: offs[1]].copy()
     for lo, hi in zip(offs[1:-1], offs[2:]):
         v[: hi - lo] += xv[lo:hi]
-    out, rec = _record(v, (x,))
-    if rec:
+    out = _record(v, (x,))
+    rec, rx = out.rec, x.rec
+    if rec is not None:
+        shape, dtype = xv.shape, xv.dtype
 
         def rule():
-            g = out.grad
-            dx = np.empty_like(xv)
+            g = rec.grad
+            dx = np.empty(shape, dtype)
             for lo, hi in zip(offs[:-1], offs[1:]):
                 dx[lo:hi] = g[: hi - lo]
-            _acc(x, dx)
+            _acc(rx, dx)
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -533,15 +593,16 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
         np.tanh(c, out=tc)
         np.multiply(a[:, 2 * E : 3 * E], tc, out=H[lo:hi])
         last = lo, n, c
-    out, rec = _record(H, (XW, U, b))
-    if rec:
+    out = _record(H, (XW, U, b))
+    rec, rX, rU, rb = out.rec, XW.rec, U.rec, b.rec
+    if rec is not None:
         h_prev = _start_states(H, offs, steps)
         c_prev = _start_states(C, offs, steps)
 
         def rule():
             # the node's own gradient, dropped once this rule has run, so
             # each step adds the next step's start-state gradient into it
-            dH = out.grad
+            dH = rec.grad
             dpre = np.empty((N, 4 * E))
             # d(activation)/d(pre-activation): a (1 - a) on i|f|o, 1 - a^2 on g
             np.subtract(1.0, acts, out=dpre)
@@ -575,13 +636,13 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
                 np.matmul(dp, u.T, out=dh_next[:n])
                 np.multiply(dc, a[:, E : 2 * E], out=dc_next[:n])
                 m = n
-            if U.requires_grad:
-                _acc(U, h_prev.T @ dpre)
-            if b.requires_grad:
-                _acc(b, dpre.sum(axis=0, keepdims=True))
-            _acc(XW, dpre)
+            if rU is not None:
+                _acc(rU, h_prev.T @ dpre)
+            if rb is not None:
+                _acc(rb, dpre.sum(axis=0, keepdims=True))
+            _acc(rX, dpre)
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out
 
 
@@ -648,13 +709,15 @@ def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
         np.subtract(hp, h, out=h)
         np.multiply(z, c, out=t)
         h += t
-    out, rec = _record(H, parents)
-    if rec:
+    out = _record(H, parents)
+    rec, rX, rU = out.rec, XW.rec, U.rec
+    rb = None if b is None else b.rec
+    if rec is not None:
         h_prev = _start_states(H, offs, range(T))
 
         def rule():
             # the node's own gradient, dropped once this rule has run
-            dH = out.grad
+            dH = rec.grad
             dpre = np.empty((N, 3 * K))
             dhr_buf, tmp = np.empty((n0, K)), np.empty((n0, K))
             # gradient of the next step's start state, and its rows
@@ -689,14 +752,14 @@ def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
                 np.matmul(dp[:, : 2 * K], u_rz.T, out=t)
                 nx += t
                 m = n
-            if U.requires_grad:
+            if rU is not None:
                 dU = np.empty((K, 3 * K))
                 np.matmul(h_prev.T, dpre[:, : 2 * K], out=dU[:, : 2 * K])
                 np.matmul(hr.T, dpre[:, 2 * K :], out=dU[:, 2 * K :])
-                _acc(U, dU)
-            if b is not None and b.requires_grad:
-                _acc(b, dpre.sum(axis=0, keepdims=True))
-            _acc(XW, dpre)
+                _acc(rU, dU)
+            if rb is not None:
+                _acc(rb, dpre.sum(axis=0, keepdims=True))
+            _acc(rX, dpre)
 
-        out.backward_rule = rule
+        rec.backward_rule = rule
     return out

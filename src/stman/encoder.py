@@ -118,8 +118,9 @@ def _encode_sorted(P: dict, grid: np.ndarray, mask: np.ndarray, E: int) -> ad.No
 def _direction(P: dict, X: ad.Node, inv: np.ndarray, counts, d: str) -> ad.Node:
     """LSTM direction ``d`` ("f" or "b") over the packed tokens, from the
     distinct tokens' embeddings ``X`` and each token's index ``inv`` in
-    them. One direction at a time: without a tape, this direction's
-    (N, 4E) input projections are freed before the next one's are made."""
+    them. One direction at a time: this direction's (N, 4E) input
+    projections are freed before the next one's are made, with a tape
+    too, since ``lstm_seq``'s backward does not read them."""
     XW = ad.gather_rows(ad.matmul(X, P[f"enc.lstm_{d}.W"]), inv)
     return ad.lstm_seq(XW, P[f"enc.lstm_{d}.U"], P[f"enc.lstm_{d}.b"], counts,
                        reverse=d == "b")

@@ -260,7 +260,7 @@ def test_fresh_tapes_give_bitwise_identical_gradients():
 
 def test_finished_tape_leaves_no_reference_cycles():
     """Leaving the tape drops the backward rules, each of which closes
-    over its own output node, so the graph dies by reference counting."""
+    over its own record, so the graph dies by reference counting."""
     rng = np.random.default_rng(6)
     x, w = ad.leaf(rng.normal(size=(3, 4))), ad.leaf(rng.normal(size=(4, 2)))
     gc.collect()
@@ -373,7 +373,10 @@ def test_gather_rows_without_repeats_scatters_each_row_once():
 
 def test_untracked_ops_outside_tape_have_no_rule():
     out = ad.matmul(ad.leaf([[1.0]]), ad.leaf([[2.0]]))
-    assert out.backward_rule is None and not out.requires_grad
+    assert out.backward_rule is None and not out.requires_grad and out.rec is None
+    with ad.Tape() as tape:
+        out = ad.matmul(ad.constant([[1.0]]), ad.constant([[2.0]]))
+        assert out.rec is None and tape.nodes == []
 
 
 # ------------------------------------------------------- packed sequences
@@ -595,6 +598,86 @@ def test_backward_releases_the_state_lstm_seq_saved():
         tape.backward(sum_all(H))
         assert all(ref() is None for ref in saved)
     assert leaves["U"].grad is not None
+
+
+def _op_calls(rng):
+    """One call of every differentiable op of ``ad.__all__`` on leaves,
+    by name: (function of the operand nodes, operand arrays)."""
+    E, K, N = 2, 2, sum(RAGGED)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    return {
+        "matmul": (ad.matmul, [a, rng.normal(size=(4, 2))]),
+        "add": (ad.add, [a, b]),
+        "hadamard": (ad.hadamard, [a, b]),
+        "tanh": (ad.tanh, [a]),
+        "masked_softmax": (lambda s: ad.masked_softmax(s, a > 0.0), [a]),
+        "log_softmax_sum": (lambda z: ad.log_softmax_sum(z, b), [a]),
+        "hstack": (lambda *ps: ad.hstack(ps), [a, b]),
+        "add_bias": (ad.add_bias, [a, rng.normal(size=(1, 4))]),
+        "scale_columns": (ad.scale_columns, [a, rng.normal(size=(3, 1))]),
+        "gather_rows": (lambda t: ad.gather_rows(t, [2, 0, 2]), [a]),
+        "reshape": (lambda x: ad.reshape(x, 4, 3), [a]),
+        "packed_sum": (lambda x: ad.packed_sum(x, RAGGED_COUNTS),
+                       [rng.normal(size=(N, 3))]),
+        "lstm_seq": (lambda x, u, c: ad.lstm_seq(x, u, c, RAGGED_COUNTS),
+                     [rng.normal(size=(N, 4 * E)), rng.normal(size=(E, 4 * E)),
+                      rng.normal(size=(1, 4 * E))]),
+        "gru_seq": (lambda x, u, c: ad.gru_seq(x, u, c, RAGGED_COUNTS),
+                    [rng.normal(size=(N, 3 * K)), rng.normal(size=(K, 3 * K)),
+                     rng.normal(size=(1, 3 * K))]),
+    }
+
+
+def _closed_over(rule):
+    """Every object a rule's closure cells hold, lists and tuples opened."""
+    todo = [c.cell_contents for c in rule.__closure__ or ()]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        else:
+            yield obj
+
+
+def test_no_backward_rule_closes_over_a_node():
+    """A rule keeps its own record, its parents' records and the arrays
+    its backward reads, never a Node, so a tape keeps no forward value
+    alive through a node; the shape-only ops keep no operand value."""
+    calls = _op_calls(np.random.default_rng(32))
+    ops = {name for name in ad.__all__ if callable(getattr(ad, name))
+           and name not in ("leaf", "constant") and not isinstance(getattr(ad, name), type)}
+    assert set(calls) == ops
+    for name, (op, arrays) in calls.items():
+        leaves = [ad.leaf(arr) for arr in arrays]
+        with ad.Tape() as tape:
+            out = op(*leaves)
+            assert [out.rec] == tape.nodes, name
+            held = list(_closed_over(out.backward_rule))
+            assert not any(isinstance(obj, ad.Node) for obj in held), name
+            if name in ("add", "add_bias", "reshape", "packed_sum", "gather_rows"):
+                assert not any(isinstance(obj, np.ndarray) and np.shares_memory(obj, arr)
+                               for obj in held for arr in arrays), name
+
+
+def test_a_dead_intermediate_is_freed_while_the_tape_is_open():
+    """``add`` reads no operand in backward, so the two matmul outputs die
+    as soon as the forward code drops them, before backward runs."""
+    rng = np.random.default_rng(33)
+    x, W = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    y, V = rng.normal(size=(3, 5)), rng.normal(size=(5, 2))
+    leaves = [ad.leaf(arr) for arr in (x, W, y, V)]
+    with ad.Tape() as tape:
+        xw, yv = ad.matmul(leaves[0], leaves[1]), ad.matmul(leaves[2], leaves[3])
+        refs = [weakref.ref(xw.value), weakref.ref(yv.value)]
+        loss = sum_all(ad.add(xw, yv))
+        del xw, yv
+        assert all(ref() is None for ref in refs)
+        tape.backward(loss)
+    ones = np.ones((3, 2))
+    for lf, want in zip(leaves, (ones @ W.T, x.T @ ones, ones @ V.T, y.T @ ones)):
+        assert np.array_equal(lf.grad, want)
+    fd_check(lambda ls: sum_all(ad.add(ad.matmul(ls[0], ls[1]), ad.matmul(ls[2], ls[3]))),
+             [x, W, y, V])
 
 
 @pytest.mark.parametrize("counts", [[2, 3], [2, 0], [], [4, 3, 3, 1]],

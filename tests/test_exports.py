@@ -24,7 +24,7 @@ import stman.training as tr
 MODULES = sorted(m.name for m in pkgutil.iter_modules(stman.__path__))
 
 # the tape, the node types and the errors are no ops
-NOT_OPS = {"Tape", "Node", "leaf", "constant", "ShapeError", "ContractError"}
+NOT_OPS = {"Tape", "Node", "Record", "leaf", "constant", "ShapeError", "ContractError"}
 
 
 def test_every_module_is_listed():
