@@ -16,13 +16,20 @@ One tape belongs to one single-threaded run. The active-tape stack is
 thread-local, so independent runs may proceed concurrently on disjoint
 tapes. Ops executed with no active tape still compute values but cannot
 be differentiated (useful for cheap evaluation-only passes).
+
+Batches of variable-length sequences (the tokens of utterances, the
+utterances of dialogues) have one packed layout, which ``pack`` builds
+from a padding mask: sequences longest first, step-major, with no row
+for padding. The sequence ops ``packed_sum``, ``packed_softmax``,
+``lstm_seq`` and ``gru_seq`` each take a packed operand and its step
+counts, and run every step of every sequence as one node.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,14 +45,16 @@ __all__ = [
     "add",
     "hadamard",
     "tanh",
-    "masked_softmax",
     "log_softmax_sum",
     "hstack",
     "add_bias",
     "scale_columns",
     "gather_rows",
     "reshape",
+    "Packing",
+    "pack",
     "packed_sum",
+    "packed_softmax",
     "lstm_seq",
     "gru_seq",
 ]
@@ -75,7 +84,7 @@ class Node:
     """One value in the computation graph, and its Record when it is
     differentiable: a leaf, or an op result recorded on a tape. A
     constant, or an op result with no tape or no differentiable parent,
-    has none (requires_grad is False) and never accumulates gradient.
+    has none and never accumulates gradient.
 
     ``grad`` stays None until backward first reaches the node; on a
     recorded node it is None again once backward has run the node's rule.
@@ -88,23 +97,15 @@ class Node:
         self.rec = rec
 
     @property
-    def requires_grad(self) -> bool:
-        return self.rec is not None
-
-    @property
     def grad(self):
         return None if self.rec is None else self.rec.grad
-
-    @property
-    def backward_rule(self):
-        return None if self.rec is None else self.rec.backward_rule
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
     def __repr__(self) -> str:
-        return f"Node(shape={self.value.shape}, requires_grad={self.requires_grad})"
+        return f"Node(shape={self.value.shape}, differentiable={self.rec is not None})"
 
 
 class _TapeStack(threading.local):
@@ -305,40 +306,6 @@ def tanh(x: Node) -> Node:
     return out
 
 
-def masked_softmax(scores: Node, keep) -> Node:
-    """Softmax over rows restricted to ``keep`` positions.
-
-    Excluded positions are exactly zero in the output (exclusion from the
-    normalization set, not a large-negative approximation). A row with no
-    kept position yields an all-zero row.
-    """
-    k = np.asarray(keep, dtype=bool)
-    if k.ndim == 1:
-        k = k.reshape(1, -1)
-    if k.shape != scores.value.shape:
-        raise ShapeError(f"masked_softmax: mask shape {k.shape} vs scores {scores.value.shape}")
-    x = scores.value
-    masked = np.where(k, x, -np.inf)
-    rowmax = masked.max(axis=1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.where(k, np.exp(np.where(k, x - rowmax, 0.0)), 0.0)
-    denom = e.sum(axis=1, keepdims=True)
-    # only a row with no kept position is zero; a NaN score stays NaN
-    y = np.divide(e, denom, out=np.zeros_like(e), where=k.any(axis=1, keepdims=True))
-    out = _record(y, (scores,))
-    rec, rs = out.rec, scores.rec
-    if rec is not None:
-
-        def rule():
-            # masked (zero) positions get zero gradient
-            g = rec.grad
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _acc(rs, y * (g - dot))
-
-        rec.backward_rule = rule
-    return out
-
-
 def log_softmax_sum(z: Node, w) -> Node:
     """Weighted log-likelihood ``sum(w * log softmax(z))`` over the rows
     of the logits ``z``, as one (1, 1) node; ``w`` is a constant array of
@@ -467,6 +434,38 @@ def reshape(x: Node, rows: int, cols: int) -> Node:
     return out
 
 
+class Packing(NamedTuple):
+    """The packed layout of the real steps of a batch of sequences (see
+    ``pack``)."""
+
+    order: np.ndarray  # (S,) grid row of each sequence, longest first
+    counts: np.ndarray  # (T,) rows of each step
+    rows: np.ndarray  # (N,) position-major grid cell t*S + s of each row
+
+    def take(self, grid: np.ndarray) -> np.ndarray:
+        """The entries of an (S, T) per-step grid at the packed rows."""
+        return grid.T.reshape(-1)[self.rows]
+
+
+def pack(valid: np.ndarray) -> Packing:
+    """The packed layout of the real steps of an (S, T) mask of S
+    sequences, the one ``packed_sum``, ``packed_softmax``, ``lstm_seq``
+    and ``gru_seq`` run on: sequences in stable descending order of
+    length (ties keep grid order), step-major, so step t holds
+    ``counts[t]`` rows, one per sequence still running at t, in that
+    order. Every sequence needs a first step, and padding must be
+    trailing."""
+    S, T = valid.shape
+    lengths = valid.sum(axis=1)
+    trailing = np.array_equal(valid, np.arange(T) < lengths[:, None])
+    if not lengths.size or lengths.min() < 1 or not trailing:
+        raise ContractError("pack: needs a sequence, every sequence needs a "
+                            "first step, and padding must be trailing")
+    order = np.argsort(-lengths, kind="stable")
+    steps, ranks = np.nonzero(valid[order].T)
+    return Packing(order, np.bincount(steps), steps * S + order[ranks])
+
+
 def _step_offsets(op: str, counts, rows: int) -> list[int]:
     """Row offsets of the steps of a packed sequence, as Python ints: step
     j holds rows offs[j]:offs[j+1]. Counts must be positive and never
@@ -521,6 +520,53 @@ def packed_sum(x: Node, counts) -> Node:
             for lo, hi in zip(offs[:-1], offs[1:]):
                 dx[lo:hi] = g[: hi - lo]
             _acc(rx, dx)
+
+        rec.backward_rule = rule
+    return out
+
+
+def packed_softmax(scores: Node, counts, keep=None) -> Node:
+    """Softmax over the steps of each sequence of a packed batch.
+
+    ``scores`` is (N, 1) in the layout of ``packed_sum``, and so are the
+    returned weights. A sequence normalizes over its rows that the (N,)
+    flags ``keep`` mark, or over all its rows when ``keep`` is None. A
+    row left out gets exactly zero (exclusion from the normalization
+    set, not a large-negative approximation), a sequence with no kept
+    row gets all zeros, and a NaN score stays NaN. The arithmetic runs
+    on the (sequence, step) grid, zero past each sequence's end, so the
+    sums round as they do over a padded batch.
+    """
+    N = scores.value.shape[0]
+    offs = _step_offsets("packed_softmax", counts, N)
+    S, T = offs[1], len(offs) - 1
+    if scores.value.shape[1] != 1:
+        raise ShapeError(f"packed_softmax: scores must be (N, 1), got {scores.value.shape}")
+    steps = np.repeat(np.arange(T), np.diff(offs))
+    ranks = np.arange(N) - np.take(offs, steps)
+    if keep is not None and np.shape(keep) != (N,):
+        raise ShapeError(f"packed_softmax: keep {np.shape(keep)} vs scores {scores.value.shape}")
+    k = np.zeros((S, T), dtype=bool)
+    k[ranks, steps] = True if keep is None else keep
+    x = np.zeros((S, T))
+    x[ranks, steps] = scores.value[:, 0]
+    masked = np.where(k, x, -np.inf)
+    rowmax = masked.max(axis=1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    e = np.where(k, np.exp(np.where(k, x - rowmax, 0.0)), 0.0)
+    denom = e.sum(axis=1, keepdims=True)
+    # only a sequence with no kept row is zero; a NaN score stays NaN
+    y = np.divide(e, denom, out=np.zeros_like(e), where=k.any(axis=1, keepdims=True))
+    out = _record(y[ranks, steps].reshape(N, 1), (scores,))
+    rec, rs = out.rec, scores.rec
+    if rec is not None:
+
+        def rule():
+            # rows left out have zero weight, so zero gradient
+            g = np.zeros((S, T))
+            g[ranks, steps] = rec.grad[:, 0]
+            dot = (g * y).sum(axis=1, keepdims=True)
+            _acc(rs, (y * (g - dot))[ranks, steps].reshape(N, 1))
 
         rec.backward_rule = rule
     return out

@@ -21,7 +21,7 @@ import os
 import random
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -439,7 +439,6 @@ class Batch:
     turn: np.ndarray
     sent: np.ndarray
     sat: np.ndarray
-    dialogue_ids: list[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -531,6 +530,5 @@ def batchify(dialogues: list[Dialogue], vocab: Vocabulary,
             is_user=_grid((B, L), cells, is_user[u0:u1]),
             turn=_grid((B, L), cells, turn[u0:u1]),
             sent=_grid((B, L), cells, sents[u0:u1]),
-            sat=sats[i:j],
-            dialogue_ids=[d.id for d in dialogues[i:j]]))
+            sat=sats[i:j]))
     return batches

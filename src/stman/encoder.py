@@ -4,16 +4,18 @@ attention pooling, producing one vector of width 2E per utterance.
 The batched forward flattens a (B dialogues x L utterances) grid into
 R = L*B rows, position-major (row = t*B + b), and returns the vectors of
 the grid rows its caller lists, in that order: the training forwards
-ask for the real utterances in the packed layout of ``interaction.pack``,
-the one the recurrences above run on. Dropout is drawn over the whole
-grid in grid order, so a draw does not depend on the rows asked for.
-Token padding must be trailing, and pad tokens are never encoded. The
-rows with real tokens are sorted by length, longest first (a stable
-sort, so ties keep grid order), and their tokens packed step-major:
-step j holds the rows still running at j, a prefix of the sorted rows.
-Each LSTM direction is one ``ad.lstm_seq`` node over that packing; the
-backward direction enters each utterance at its last real token from
-the zero state. The input projections are made once per distinct token of the batch and
+ask for the real utterances in the packed layout ``ad.pack`` gives the
+batch's utterance mask, the one the recurrences above run on. Every
+asked row needs a token; a padded utterance is never asked for. Dropout
+is drawn over the whole grid in grid order, so a draw does not depend on
+the rows asked for.
+
+The asked rows' tokens are packed by ``ad.pack`` too, from the rows in
+grid order: utterances longest first (a stable sort, so ties keep grid
+order), step j holding the utterances still running at j. Each LSTM
+direction is one ``ad.lstm_seq`` node over that packing; the backward
+direction enters each utterance at its last token from the zero state.
+The input projections are made once per distinct token of the batch and
 then gathered to one row per token, so the embedding gradient and the
 input-weight gradients are sums over distinct tokens rather than over
 every token. This pays on batches that repeat tokens (a synthetic batch
@@ -21,8 +23,9 @@ holds about 40 distinct ids among 1400-1800 tokens). A batch without
 repeats is the worst case: with 1621 distinct ids from a 20000-row table
 (D=100, E=16; 2 vCPU, one BLAS thread) the forward+backward measured
 11.5 ms against 10.6 ms for projecting every token.
-Attention pools each sorted row over its real tokens, and the pooled
-rows go to the asked grid rows. An all-pad row comes out exactly zero.
+Attention pools each utterance over its tokens in the packed layout
+(``ad.packed_softmax``, then ``ad.packed_sum``), and one gather puts the
+pooled rows in the asked order.
 """
 
 from __future__ import annotations
@@ -54,32 +57,31 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
     """Encode the utterances of a (B, L, T) id grid.
 
     ``rows`` lists the grid rows to return, in order, row t*B + b holding
-    dialogue b's utterance t. Returns a (len(rows), 2E) node; an all-pad
-    row comes out exactly zero. A non-zero ``dropout_rate`` applies
-    inverted dropout drawn from ``rng`` over the whole (L*B, 2E) grid in
-    grid order, so the draw does not depend on ``rows``.
+    dialogue b's utterance t; each must have a first token, and token
+    padding must be trailing (``ad.pack``'s contract). Returns a
+    (len(rows), 2E) node. A non-zero ``dropout_rate`` applies inverted
+    dropout drawn from ``rng`` over the whole (L*B, 2E) grid in grid
+    order, so the draw does not depend on ``rows``.
     """
     B, L, T = ids.shape
     R = L * B
-    rows = np.asarray(rows, dtype=np.intp)
-    grid = ids.transpose(1, 0, 2).reshape(R, T)
-    mask = tok_valid.transpose(1, 0, 2).reshape(R, T)
-    lengths = mask.sum(axis=1)
-    if not np.array_equal(mask, np.arange(T) < lengths[:, None]):
-        raise ad.ContractError("encode_grid: token padding must be trailing")
-
-    # real rows, longest first; the stable sort keeps grid order among ties
-    real = np.flatnonzero(lengths)
-    order = real[np.argsort(-lengths[real], kind="stable")]
-    if order.size == 0:
-        v = ad.constant(np.zeros((rows.size, 2 * E)))
-    else:
-        v = _encode_sorted(P, grid[order], mask[order], E)
-        # to the asked grid rows; a pad row reads row 0 and the mask zeroes it
-        back = np.zeros(R, dtype=np.intp)
-        back[order] = np.arange(order.size)
-        keep = (lengths[rows] > 0).astype(np.float64).reshape(-1, 1)
-        v = ad.scale_columns(ad.gather_rows(v, back[rows]), ad.constant(keep))
+    # the asked rows in grid order, then longest first: the stable sort
+    # keeps grid order among ties, so the rows that share a step (and a
+    # matrix product) do not depend on the order they were asked in
+    asked, inv = np.unique(rows, return_inverse=True)
+    grid = ids.transpose(1, 0, 2).reshape(R, T)[asked]
+    tok = ad.pack(tok_valid.transpose(1, 0, 2).reshape(R, T)[asked])
+    # input projections of the distinct tokens only, then one row per token
+    distinct, at = np.unique(tok.take(grid), return_inverse=True)
+    X = ad.gather_rows(P["enc.emb"], distinct)
+    states = ad.hstack([_direction(P, X, at, tok.counts, d) for d in "fb"])
+    scores = ad.tanh(ad.add_bias(ad.matmul(states, P["enc.att.w"]), P["enc.att.b"]))
+    beta = ad.packed_softmax(scores, tok.counts)
+    v = ad.packed_sum(ad.scale_columns(states, beta), tok.counts)
+    # from longest first to the asked order
+    rank = np.empty(asked.size, dtype=np.intp)
+    rank[tok.order] = np.arange(asked.size)
+    v = ad.gather_rows(v, rank[inv])
 
     if dropout_rate:
         if rng is None or not 0.0 < dropout_rate < 1.0:
@@ -90,29 +92,6 @@ def encode_grid(P: dict, ids: np.ndarray, tok_valid: np.ndarray, E: int,
         drop = (rng.random((R, 2 * E)) >= dropout_rate) / (1.0 - dropout_rate)
         v = ad.hadamard(v, ad.constant(drop[rows]))
     return v
-
-
-def _encode_sorted(P: dict, grid: np.ndarray, mask: np.ndarray, E: int) -> ad.Node:
-    """Encode (R', T) id rows sorted longest first, with no all-pad row,
-    to (R', 2E). Tokens are packed step-major: step j holds the rows
-    still running at j, which are a prefix of the rows."""
-    Rs, T = grid.shape
-    steps, rows = np.nonzero(mask.T)
-    counts = np.bincount(steps)
-    # input projections of the distinct tokens only, then one row per token
-    distinct, inv = np.unique(grid[rows, steps], return_inverse=True)
-    X = ad.gather_rows(P["enc.emb"], distinct)
-    states = ad.hstack([_direction(P, X, inv, counts, d) for d in "fb"])
-    scores = ad.tanh(ad.add_bias(ad.matmul(states, P["enc.att.w"]), P["enc.att.b"]))
-
-    # attention weights over the (R', T) grid; pad cells read packed row
-    # 0 and are excluded by the mask
-    cell = np.zeros((Rs, T), dtype=np.intp)
-    cell[rows, steps] = np.arange(rows.size)
-    betas = ad.masked_softmax(
-        ad.reshape(ad.gather_rows(scores, cell.reshape(-1)), Rs, T), mask)
-    beta = ad.gather_rows(ad.reshape(betas, Rs * T, 1), rows * T + steps)
-    return ad.packed_sum(ad.scale_columns(states, beta), counts)
 
 
 def _direction(P: dict, X: ad.Node, inv: np.ndarray, counts, d: str) -> ad.Node:

@@ -38,22 +38,18 @@ __all__ = [
 # ----------------------------------------------------------------- metrics
 
 
-def confusion(preds, truths, classes) -> np.ndarray:
-    """Count matrix indexed [true, predicted] over an explicit ordered
-    class list; labels outside it are an error. Each label is mapped to
-    its class index by one dict lookup, and one bincount counts the
-    (true, predicted) cells."""
-    index = {c: i for i, c in enumerate(classes)}
-    if len(index) != len(classes):
-        raise ValueError("duplicate class labels")
+def confusion(preds, truths, n_classes: int) -> np.ndarray:
+    """Count matrix indexed [true, predicted] of integer labels
+    0..n_classes-1; any other label is an error. One ``np.bincount``
+    counts the (true, predicted) cells."""
     if len(preds) != len(truths):
         raise ValueError("confusion needs equal-length label sequences")
-    try:
-        t, p = (np.fromiter(map(index.__getitem__, labels), dtype=np.intp,
-                            count=len(labels)) for labels in (truths, preds))
-    except KeyError as exc:
-        raise ValueError(f"label outside class list: {exc.args[0]!r}") from None
-    k = len(classes)
+    labels = np.asarray((truths, preds), dtype=np.float64)
+    bad = labels[(labels != np.floor(labels)) | (labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]:g} outside 0..{n_classes - 1}")
+    t, p = labels.astype(np.intp)
+    k = n_classes
     return np.bincount(t * k + p, minlength=k * k).reshape(k, k)
 
 
@@ -75,7 +71,7 @@ def score_labels(preds, truths, n_classes: int) -> dict:
     confusion matrix of labels 0..n_classes-1, from one count pass."""
     if len(truths) == 0:
         raise ValueError("score_labels needs non-empty label sequences")
-    cm = confusion(preds, truths, range(n_classes))
+    cm = confusion(preds, truths, n_classes)
     prf = per_class_prf(cm)
     return {
         "n": len(truths),

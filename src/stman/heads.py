@@ -3,9 +3,11 @@ the task discriminator that tries to tell the two feature streams apart.
 
 Every head reads a stream whole, as the (N, K) matrix of real-utterance
 rows the interaction layer emits, in the packed layout of its step
-counts (see ``interaction.pack``: dialogues longest first, step-major),
-and the per-utterance heads return one (N, C) matrix of class logits in
-that layout; the losses normalize them. The discriminator applies one
+counts (see ``ad.pack``: dialogues longest first, step-major), and the
+per-utterance heads return one (N, C) matrix of class logits in that
+layout; the losses normalize them. The satisfaction head's attention
+is one ``ad.packed_softmax`` over each dialogue's rows, so it pools
+straight from the packed states. The discriminator applies one
 parameter set to both task streams, so it runs them as one recurrence
 over the two streams' rows interleaved, and returns its logits in that
 interleave.
@@ -54,28 +56,21 @@ def param_specs(K: int, H: int, use_aux: bool,
     return specs
 
 
-def use_decode_steps(P: dict, H_m: ad.Node, keep: np.ndarray, counts):
+def use_decode_steps(P: dict, H_m: ad.Node, counts, keep=None):
     """Attention-pooled satisfaction logits for a batch.
 
     H_m: the (N, K) states in the packed layout of the step counts
-    ``counts``. keep: (B, L) positions eligible for attention, dialogues
-    in packed order (user-only when the role mask is on, every real
-    utterance otherwise; padding never). Returns (z_m (B,3), alpha
-    (B,L)), dialogues in packed order.
+    ``counts``. keep: the (N,) rows eligible for attention (the user
+    utterances when the role mask is on), or None for every row.
+    Returns (z_m (B, 3), dialogues in packed order; the (N, 1) attention
+    weights, row-aligned with H_m).
     """
-    B, L = keep.shape
     n = np.asarray(counts)
+    B = n[0]
     scores = ad.matmul(ad.tanh(ad.add_bias(ad.matmul(H_m, P["use.W_u"]),
                                            P["use.b_u"])), P["use.U_u"])
-    # packed row r is step t of dialogue i: cell i*L + t of the (B, L)
-    # grid; a cell past its dialogue's end reads row 0 and is masked
-    steps, ranks = np.nonzero(np.arange(B) < n[:, None])
-    cells = ranks * L + steps
-    at = np.zeros(B * L, dtype=np.intp)
-    at[cells] = np.arange(cells.size)
-    alpha = ad.masked_softmax(ad.reshape(ad.gather_rows(scores, at), B, L), keep)
-    w = ad.gather_rows(ad.reshape(alpha, B * L, 1), cells)
-    pooled = ad.packed_sum(ad.scale_columns(H_m, w), n)
+    alpha = ad.packed_softmax(scores, n, keep)
+    pooled = ad.packed_sum(ad.scale_columns(H_m, alpha), n)
     # dialogue i's final row: its last step's offset plus its rank
     last = (np.cumsum(n) - n)[(n[:, None] > np.arange(B)).sum(axis=0) - 1]
     final = ad.gather_rows(H_m, last + np.arange(B))
@@ -88,15 +83,15 @@ def sa_decode(P: dict, H_a: ad.Node) -> ad.Node:
     return ad.add_bias(ad.matmul(H_a, P["sa.W"]), P["sa.b"])
 
 
-def discriminate_steps(P: dict, X_m: ad.Node, X_a: ad.Node, counts,
-                       K: int) -> ad.Node:
+def discriminate_steps(P: dict, X_m: ad.Node, X_a: ad.Node, counts) -> ad.Node:
     """The discriminator GRU over both task-feature streams ((N, K) each,
     in the packed layout of the step counts ``counts``) as one interleaved
     recurrence, then the logits of the two task classes at every step of
     each. Returns one (2N, 2) node in the interleave of its input: row
     2r + i is row r of stream i."""
     # step t is the 2 * counts[t] rows of its dialogues, both streams
-    X = ad.reshape(ad.hstack([X_m, X_a]), 2 * X_m.value.shape[0], K)
+    N, K = X_m.value.shape
+    X = ad.reshape(ad.hstack([X_m, X_a]), 2 * N, K)
     H = ad.gru_seq(ad.matmul(X, interaction.gates(P, "td", "W")),
                    interaction.gates(P, "td", "U"),
                    interaction.gates(P, "td", "b"), 2 * np.asarray(counts))

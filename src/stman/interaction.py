@@ -3,32 +3,29 @@ shared GRU applied separately to each task's stream, and task-private
 GRU variants that additionally condition on the shared state.
 
 Layout convention: utterance matrices hold the real utterances of a
-batch only, in the packed layout of ``pack``: the dialogues sorted by
-descending utterance count (a stable sort, so ties keep batch order),
-and step t holding the dialogues still running at t, which are a prefix
-of step t-1's. A padded utterance has no row, so no recurrence, head or
-loss computes anything for it.
+batch only, in the packed layout ``ad.pack`` gives the batch's (B, L)
+utterance mask: the dialogues sorted by descending utterance count (a
+stable sort, so ties keep batch order), and step t holding the
+dialogues still running at t, which are a prefix of step t-1's. A
+padded utterance has no row, so no recurrence, head or loss computes
+anything for it.
 
 Each GRU of a stream is one ``ad.gru_seq`` node over all steps, with its
 input projections for every step made in one matmul beforehand: ``X W``
 for the shared GRU, ``X_aug W + H_s U^s`` for a private one, which has
-no bias. The r|z|h gate blocks are concatenated at run time
-from the separately named parameters, so the checkpoint format is the
-one of a per-gate model. The heads read each stream's fused (N, K)
+no bias. The r|z|h gate blocks are concatenated at run time from the
+separately named parameters, so the checkpoint format is the one of a
+per-gate model. The heads read each stream's fused (N, K)
 output whole.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 
 __all__ = [
-    "Packing",
-    "pack",
     "param_specs",
     "project",
     "gates",
@@ -36,35 +33,6 @@ __all__ = [
 ]
 
 _GATES = ("r", "z", "h")
-
-
-class Packing(NamedTuple):
-    """The packed layout of a batch's real utterances (see ``pack``)."""
-
-    order: np.ndarray  # (B,) batch index of each dialogue, longest first
-    counts: np.ndarray  # (L,) rows of each step
-    rows: np.ndarray  # (N,) position-major grid cell t*B + b of each row
-
-    def take(self, grid: np.ndarray) -> np.ndarray:
-        """The entries of a (B, L) per-utterance grid at the packed rows."""
-        return grid.T.reshape(-1)[self.rows]
-
-
-def pack(utt_valid: np.ndarray) -> Packing:
-    """Packed rows of the real utterances of a (B, L) batch: dialogues in
-    stable descending order of utterance count, step-major, so step t
-    holds ``counts[t]`` rows, one per dialogue still running at t, in
-    that order. Every dialogue needs a first utterance, and padding
-    must be trailing."""
-    B, L = utt_valid.shape
-    lengths = utt_valid.sum(axis=1)
-    trailing = np.array_equal(utt_valid, np.arange(L) < lengths[:, None])
-    if lengths.min() < 1 or not trailing:
-        raise ad.ContractError("pack: every dialogue needs an utterance, "
-                               "and utterance padding must be trailing")
-    order = np.argsort(-lengths, kind="stable")
-    steps, ranks = np.nonzero(utt_valid[order].T)
-    return Packing(order, np.bincount(steps), steps * B + order[ranks])
 
 
 def param_specs(E: int, K: int, Z: int, use_st: bool, use_aux: bool,

@@ -220,7 +220,7 @@ def momentum_step(params: dict, velocities: dict, grads: dict, lr: float,
 # ------------------------------------------------------------------ losses
 
 
-def _row_shares(pk: interaction.Packing) -> np.ndarray:
+def _row_shares(pk: ad.Packing) -> np.ndarray:
     """1 / (B * utterances of its dialogue), for each packed row: the
     weight that makes a loss the batch mean of per-dialogue means."""
     B = pk.order.size
@@ -229,7 +229,7 @@ def _row_shares(pk: interaction.Packing) -> np.ndarray:
 
 
 def task_loss(z_m: ad.Node, sat: np.ndarray, z_sa, sent: np.ndarray,
-              pk: interaction.Packing, use_aux: bool) -> ad.Node:
+              pk: ad.Packing, use_aux: bool) -> ad.Node:
     """Batch-mean task loss from the heads' logits.
 
     Per dialogue: cross-entropy of the satisfaction prediction, plus the
@@ -249,7 +249,7 @@ def task_loss(z_m: ad.Node, sat: np.ndarray, z_sa, sent: np.ndarray,
     return ad.add(loss, ad.log_softmax_sum(z_sa, -w_sa))
 
 
-def adv_loss(zk: ad.Node, pk: interaction.Packing) -> ad.Node:
+def adv_loss(zk: ad.Node, pk: ad.Packing) -> ad.Node:
     """Discriminator log-likelihood J: per dialogue, mean log-probability
     of the true origin over the 2L feature rows (L from each stream),
     then batch-mean. ``zk`` is the (2N, 2) logits output of
@@ -270,16 +270,16 @@ def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
                  train_mode: bool = False, drop_rng=None):
     """Full task forward on one batch. Returns (loss, z_m, z_sa): z_m
     holds the (B, 3) satisfaction logits in batch order, z_sa the (N, 3)
-    sentiment logits of the rows of ``interaction.pack(batch.utt_valid)``,
+    sentiment logits of the rows of ``ad.pack(batch.utt_valid)``,
     or None without the auxiliary head."""
-    pk = interaction.pack(batch.utt_valid)
+    pk = ad.pack(batch.utt_valid)
     rate = cfg.dropout if train_mode else 0.0
     V = encoder.encode_grid(P, batch.ids, batch.tok_valid, cfg.E, pk.rows, rate,
                             drop_rng)
     H_m, H_a = interaction.run_interaction(P, V, pk.take(batch.turn), pk.counts,
                                            cfg.use_st, cfg.use_aux)
-    keep = (batch.is_user & batch.utt_valid) if cfg.use_mask else batch.utt_valid
-    z_m, _ = heads.use_decode_steps(P, H_m, keep[pk.order], pk.counts)
+    keep = pk.take(batch.is_user) if cfg.use_mask else None
+    z_m, _ = heads.use_decode_steps(P, H_m, pk.counts, keep)
     # packed dialogue order back to batch order
     z_m = ad.gather_rows(z_m, np.argsort(pk.order))
     z_sa = heads.sa_decode(P, H_a) if cfg.use_aux else None
@@ -288,7 +288,7 @@ def forward_task(P: dict, batch: cp.Batch, cfg: ModelConfig,
 
 
 def forward_discriminator(P: dict, batch: cp.Batch, cfg: ModelConfig,
-                          pk: interaction.Packing, train_mode: bool = False,
+                          pk: ad.Packing, train_mode: bool = False,
                           drop_rng=None):
     """Encoder, both dense projections, and the discriminator over both
     streams. Returns the (2N, 2) origin logits: row 2r + i is row r of
@@ -298,13 +298,13 @@ def forward_discriminator(P: dict, batch: cp.Batch, cfg: ModelConfig,
                             drop_rng)
     X_m = interaction.project(P, V, "m")
     X_a = interaction.project(P, V, "a")
-    return heads.discriminate_steps(P, X_m, X_a, pk.counts, cfg.K)
+    return heads.discriminate_steps(P, X_m, X_a, pk.counts)
 
 
 def forward_adv(P: dict, batch: cp.Batch, cfg: ModelConfig,
                 train_mode: bool = False, drop_rng=None) -> ad.Node:
     """Adversarial objective J on one batch."""
-    pk = interaction.pack(batch.utt_valid)
+    pk = ad.pack(batch.utt_valid)
     zk = forward_discriminator(P, batch, cfg, pk, train_mode, drop_rng)
     return adv_loss(zk, pk)
 
@@ -321,7 +321,7 @@ def discriminator_accuracy(params: dict, dialogues: list, vocab: cp.Vocabulary,
     total = 0
     for _, batch in _length_sorted_batches(dialogues, counts, vocab, cfg.batch):
         zk = forward_discriminator(as_leaves(params), batch, cfg,
-                                   interaction.pack(batch.utt_valid)).value
+                                   ad.pack(batch.utt_valid)).value
         # (row, stream) argmax classes; stream i's true class is i
         preds = np.argmax(zk, axis=1).reshape(-1, heads.N_TASKS)
         correct += int(np.sum(preds == np.arange(heads.N_TASKS)))
@@ -516,7 +516,7 @@ def predict(params: dict, dialogues: list, vocab: cp.Vocabulary,
         use_preds[indices] = np.argmax(z_m.value, axis=1)
         if cfg.use_aux:
             # packed row = grid cell t*B + b: utterance t of dialogue b
-            step, b = np.divmod(interaction.pack(batch.utt_valid).rows, batch.size)
+            step, b = np.divmod(ad.pack(batch.utt_valid).rows, batch.size)
             sa_preds[first[indices[b]] + step] = np.argmax(z_sa.value, axis=1)
     return use_preds.tolist(), sa_preds.tolist() if cfg.use_aux else None
 

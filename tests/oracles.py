@@ -78,6 +78,19 @@ def softmax_rows_mp(x, keep=None, dps=50):
     return out
 
 
+def packed_softmax_ref(scores, counts, keep=None):
+    """Softmax of packed (N,) scores one sequence at a time, by
+    ``softmax_rows_mp``: sequence r holds row offs[j] + r of every step j
+    with counts[j] > r."""
+    offs = _offsets(counts)
+    out = np.zeros(len(scores))
+    for r in range(int(counts[0])):
+        rows = [offs[j] + r for j in range(len(counts)) if counts[j] > r]
+        kept = None if keep is None else [keep[i] for i in rows]
+        out[rows] = softmax_rows_mp([scores[i] for i in rows], kept)[0]
+    return out
+
+
 def sigmoid_ref(x):
     # classic form on purpose (library uses the tanh identity)
     return 1.0 / (1.0 + math.exp(-x))

@@ -88,10 +88,10 @@ def test_criterion_2_exactness_fixtures():
          for name, shape in hd.param_specs(K, H, False, False)}
     leaves = {k: ad.leaf(v) for k, v in P.items()}
     states = ad.constant(rng.normal(size=(L, K)))
-    keep = np.array([[True, False, True, False, True]])
-    _, alpha = hd.use_decode_steps(leaves, states, keep, [1] * L)
-    assert alpha.value[0, 1] == 0.0 and alpha.value[0, 3] == 0.0
-    assert abs(alpha.value[0, [0, 2, 4]].sum() - 1.0) <= 1e-12
+    keep = [True, False, True, False, True]
+    _, alpha = hd.use_decode_steps(leaves, states, [1] * L, keep)
+    assert alpha.value[1, 0] == 0.0 and alpha.value[3, 0] == 0.0
+    assert abs(alpha.value[[0, 2, 4], 0].sum() - 1.0) <= 1e-12
 
     # all-zero GRU parameters halve the previous state: step 0's candidate
     # reads a fixed input, step 1's input projection is zero (W = 0)
@@ -109,7 +109,7 @@ def test_criterion_2_exactness_fixtures():
     # equal satisfaction logits (uniform probabilities) score ln 3
     z_m = ad.constant(np.zeros((1, 3)))
     loss = tr.task_loss(z_m, np.array([2]), None, None,
-                        it.pack(np.array([[True]])), use_aux=False)
+                        ad.pack(np.array([[True]])), use_aux=False)
     assert loss.value[0, 0] == pytest.approx(math.log(3.0), abs=1e-12)
 
     # learning-rate schedule decays geometrically

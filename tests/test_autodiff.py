@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import stman.autodiff as ad
 import stman.encoder as enc
 from oracles import (GRAD_TOL, gru_seq_ref, gru_shared_ref, lstm_cell_ref, lstm_seq_ref,
-                     numeric_grad, rel_err, softmax_rows_mp)
+                     numeric_grad, packed_softmax_ref, rel_err, softmax_rows_mp)
 from testkit import softmax, sum_all
 
 
@@ -151,47 +151,88 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(row, c):
     assert np.max(np.abs(y - y_shift)) <= 1e-12
 
 
-def test_masked_softmax_single_survivor():
-    out = ad.masked_softmax(ad.constant([5.0, 7.0]), [True, False])
-    assert np.array_equal(out.value, [[1.0, 0.0]])
+def packed_grid(x):
+    """The rows of an (S, T) array as S sequences of T steps each:
+    (packed (S*T, 1) scores, step counts)."""
+    x = np.asarray(x, dtype=np.float64)
+    return ad.constant(x.T.reshape(-1, 1)), [x.shape[0]] * x.shape[1]
 
 
-def test_masked_softmax_uniform_over_kept():
-    out = ad.masked_softmax(ad.constant([2.0, 9.0, 2.0, 2.0]),
+def as_grid(packed, S):
+    """Packed (S*T,) or (S*T, 1) entries of S equal-length sequences as
+    their (S, T) grid."""
+    return np.asarray(packed).reshape(-1, S).T
+
+
+def test_packed_softmax_single_survivor():
+    out = ad.packed_softmax(ad.constant([[5.0], [7.0]]), [1, 1], [True, False])
+    assert np.array_equal(out.value, [[1.0], [0.0]])
+
+
+def test_packed_softmax_uniform_over_kept():
+    out = ad.packed_softmax(ad.constant([[2.0], [9.0], [2.0], [2.0]]), [1, 1, 1, 1],
                             [True, False, True, True])
-    assert np.allclose(out.value, [[1 / 3, 0.0, 1 / 3, 1 / 3]], rtol=0, atol=1e-15)
-    assert out.value[0, 1] == 0.0
+    assert np.allclose(out.value[:, 0], [1 / 3, 0.0, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+    assert out.value[1, 0] == 0.0
 
 
-def test_masked_softmax_all_true_equals_softmax():
+def test_packed_softmax_all_kept_equals_softmax():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 5))
-    plain = softmax(x)
-    masked = ad.masked_softmax(ad.constant(x), np.ones_like(x, dtype=bool)).value
-    assert np.max(np.abs(plain - masked)) <= 1e-15
+    scores, counts = packed_grid(x)
+    for keep in (None, np.ones(x.size, dtype=bool)):
+        got = as_grid(ad.packed_softmax(scores, counts, keep).value, 4)
+        assert np.max(np.abs(softmax(x) - got)) <= 1e-15
 
 
-def test_masked_softmax_all_masked_row_is_zero():
-    out = ad.masked_softmax(ad.constant([[3.0, 1.0], [2.0, 2.0]]),
-                            [[False, False], [True, True]])
-    assert np.array_equal(out.value[0], [0.0, 0.0])
-    assert abs(out.value[1].sum() - 1.0) <= 1e-12
+def test_packed_softmax_sequence_with_no_kept_row_is_zero():
+    scores, counts = packed_grid([[3.0, 1.0], [2.0, 2.0]])
+    keep = [False, True, False, True]  # step-major: sequence 0 keeps nothing
+    out = as_grid(ad.packed_softmax(scores, counts, keep).value, 2)
+    assert np.array_equal(out[0], [0.0, 0.0])
+    assert abs(out[1].sum() - 1.0) <= 1e-12
 
 
-def test_masked_softmax_keeps_a_nan_score_visible():
-    out = ad.masked_softmax(ad.constant([[np.nan, 1.0], [np.nan, 2.0]]),
-                            [[True, True], [False, True]])
-    assert np.isnan(out.value[0]).all()
-    assert out.value[1].tolist() == [0.0, 1.0]
+def test_packed_softmax_keeps_a_nan_score_visible():
+    scores, counts = packed_grid([[np.nan, 1.0], [np.nan, 2.0]])
+    keep = [True, False, True, True]
+    out = as_grid(ad.packed_softmax(scores, counts, keep).value, 2)
+    assert np.isnan(out[0]).all()
+    assert out[1].tolist() == [0.0, 1.0]
 
 
-def test_masked_softmax_matches_high_precision_oracle():
+def test_packed_softmax_matches_high_precision_oracle():
     rng = np.random.default_rng(11)
     x = rng.normal(scale=3.0, size=(3, 6))
     keep = rng.random((3, 6)) < 0.6
     keep[2] = False
-    got = ad.masked_softmax(ad.constant(x), keep).value
+    scores, counts = packed_grid(x)
+    got = as_grid(ad.packed_softmax(scores, counts, keep.T.reshape(-1)).value, 3)
     assert np.max(np.abs(got - softmax_rows_mp(x, keep))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=5), st.data())
+def test_packed_softmax_matches_per_sequence_reference_on_ragged_counts(lengths, data):
+    """Ragged sequences, a random keep mask (or none): each sequence's
+    weights are its own softmax over its kept rows, and a row left out
+    is exactly zero."""
+    lengths = sorted(lengths, reverse=True)
+    counts = [sum(n > j for n in lengths) for j in range(lengths[0])]
+    N = sum(lengths)
+    scores = np.array(data.draw(st.lists(st.floats(-50, 50), min_size=N, max_size=N)))
+    keep = data.draw(st.none() | st.lists(st.booleans(), min_size=N, max_size=N))
+    got = ad.packed_softmax(ad.constant(scores.reshape(-1, 1)), counts, keep).value[:, 0]
+    assert np.max(np.abs(got - packed_softmax_ref(scores, counts, keep))) <= 1e-12
+    if keep is not None:
+        assert np.all(got[~np.array(keep)] == 0.0)
+
+
+def test_packed_softmax_rejects_a_wrong_shape():
+    with pytest.raises(ad.ShapeError):
+        ad.packed_softmax(ad.constant(np.ones((3, 2))), [2, 1])
+    with pytest.raises(ad.ShapeError):
+        ad.packed_softmax(ad.constant(np.ones((3, 1))), [2, 1], [True, False])
 
 
 def test_concat_fixture_and_contracts():
@@ -303,7 +344,8 @@ def test_shared_leaf_collects_both_branch_contributions():
 def test_finite_outputs_on_extreme_inputs():
     big = ad.constant([[1000.0, -1000.0, 0.0]])
     for out in (ad.tanh(big).value, loss_softmax(big.value),
-                ad.masked_softmax(big, [True, True, False]).value):
+                ad.packed_softmax(ad.reshape(big, 3, 1), [1, 1, 1],
+                                  [True, True, False]).value):
         assert np.all(np.isfinite(out))
     z = ad.leaf(big.value.copy())
     with ad.Tape() as tape:
@@ -373,7 +415,7 @@ def test_gather_rows_without_repeats_scatters_each_row_once():
 
 def test_untracked_ops_outside_tape_have_no_rule():
     out = ad.matmul(ad.leaf([[1.0]]), ad.leaf([[2.0]]))
-    assert out.backward_rule is None and not out.requires_grad and out.rec is None
+    assert out.rec is None
     with ad.Tape() as tape:
         out = ad.matmul(ad.constant([[1.0]]), ad.constant([[2.0]]))
         assert out.rec is None and tape.nodes == []
@@ -590,7 +632,7 @@ def test_backward_releases_the_state_lstm_seq_saved():
         XW = ad.matmul(leaves["x"], leaves["W"])
         H = ad.lstm_seq(XW, leaves["U"], leaves["b"], RAGGED_COUNTS)
         # the per-call buffers, not the leaf values the rule also reads
-        saved = [weakref.ref(c.cell_contents) for c in H.backward_rule.__closure__
+        saved = [weakref.ref(c.cell_contents) for c in H.rec.backward_rule.__closure__
                  if isinstance(c.cell_contents, np.ndarray)
                  and id(c.cell_contents) not in values]
         assert len(saved) >= 4  # acts, h_prev, c_prev, tanh_c
@@ -610,7 +652,6 @@ def _op_calls(rng):
         "add": (ad.add, [a, b]),
         "hadamard": (ad.hadamard, [a, b]),
         "tanh": (ad.tanh, [a]),
-        "masked_softmax": (lambda s: ad.masked_softmax(s, a > 0.0), [a]),
         "log_softmax_sum": (lambda z: ad.log_softmax_sum(z, b), [a]),
         "hstack": (lambda *ps: ad.hstack(ps), [a, b]),
         "add_bias": (ad.add_bias, [a, rng.normal(size=(1, 4))]),
@@ -619,6 +660,9 @@ def _op_calls(rng):
         "reshape": (lambda x: ad.reshape(x, 4, 3), [a]),
         "packed_sum": (lambda x: ad.packed_sum(x, RAGGED_COUNTS),
                        [rng.normal(size=(N, 3))]),
+        "packed_softmax": (lambda s: ad.packed_softmax(s, RAGGED_COUNTS,
+                                                       rng.random(N) < 0.7),
+                           [rng.normal(size=(N, 1))]),
         "lstm_seq": (lambda x, u, c: ad.lstm_seq(x, u, c, RAGGED_COUNTS),
                      [rng.normal(size=(N, 4 * E)), rng.normal(size=(E, 4 * E)),
                       rng.normal(size=(1, 4 * E))]),
@@ -645,14 +689,15 @@ def test_no_backward_rule_closes_over_a_node():
     alive through a node; the shape-only ops keep no operand value."""
     calls = _op_calls(np.random.default_rng(32))
     ops = {name for name in ad.__all__ if callable(getattr(ad, name))
-           and name not in ("leaf", "constant") and not isinstance(getattr(ad, name), type)}
+           and name not in ("leaf", "constant", "pack")
+           and not isinstance(getattr(ad, name), type)}
     assert set(calls) == ops
     for name, (op, arrays) in calls.items():
         leaves = [ad.leaf(arr) for arr in arrays]
         with ad.Tape() as tape:
             out = op(*leaves)
             assert [out.rec] == tape.nodes, name
-            held = list(_closed_over(out.backward_rule))
+            held = list(_closed_over(out.rec.backward_rule))
             assert not any(isinstance(obj, ad.Node) for obj in held), name
             if name in ("add", "add_bias", "reshape", "packed_sum", "gather_rows"):
                 assert not any(isinstance(obj, np.ndarray) and np.shares_memory(obj, arr)
@@ -724,12 +769,6 @@ def test_every_op_against_finite_differences():
         fd_check(lambda ls: sum_all(ad.tanh(ls[0])), [a])
         fd_check(lambda ls: ad.log_softmax_sum(ls[0], w_mn), [a])
 
-        keep = rng.random((m, n)) < 0.7
-        if m > 1:
-            keep[rng.integers(m)] = False  # exercise the all-masked contract
-        fd_check(lambda ls: sum_all(ad.hadamard(ad.masked_softmax(ls[0], keep),
-                                                ad.constant(w_mn))), [a])
-
         w_cat = rng.normal(size=(m, 2 * n))
         fd_check(lambda ls: sum_all(ad.hadamard(ad.hstack([ls[0], ls[1]]),
                                                 ad.constant(w_cat))), [a, s])
@@ -758,3 +797,14 @@ def test_every_op_against_finite_differences():
         w_p = rng.normal(size=(counts[0], n))
         fd_check(lambda ls: sum_all(ad.hadamard(ad.packed_sum(ls[0], counts),
                                                 ad.constant(w_p))), [seqs])
+
+        N = int(counts.sum())
+        scores, w_s = rng.normal(size=(N, 1)), rng.normal(size=(N, 1))
+        keep = rng.random(N) < 0.7
+        if counts[0] > 1:
+            # exercise the contract of a sequence with no kept row
+            rank = np.arange(N) - np.repeat(np.cumsum(counts) - counts, counts)
+            keep[rank == rng.integers(counts[0])] = False
+        for k in (keep, None):
+            fd_check(lambda ls: sum_all(ad.hadamard(ad.packed_softmax(ls[0], counts, k),
+                                                    ad.constant(w_s))), [scores])

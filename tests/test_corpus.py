@@ -444,8 +444,7 @@ def test_batchify_chunking_preserves_order():
     vocab = cp.build_vocab(dialogues)
     batches = cp.batchify(dialogues, vocab, 4)
     assert [b.size for b in batches] == [4, 4, 2]
-    flat = [did for b in batches for did in b.dialogue_ids]
-    assert flat == [d.id for d in dialogues]
+    assert_batches_equal_reference(dialogues, vocab, 4)
 
 
 def encode_batch_loop(chunk, vocab):
@@ -473,8 +472,7 @@ def encode_batch_loop(chunk, vocab):
             for j, tok in enumerate(u.tokens):
                 ids[b, t, j] = token_ids.get(tok, cp.UNK_ID)
                 tok_valid[b, t, j] = True
-    return cp.Batch(ids, tok_valid, utt_valid, is_user, turn, sent, sat,
-                    [d.id for d in chunk])
+    return cp.Batch(ids, tok_valid, utt_valid, is_user, turn, sent, sat)
 
 
 # a small alphabet, so tokens repeat and some fall outside the vocabulary
@@ -489,7 +487,6 @@ def assert_batches_equal_reference(dialogues, vocab, batch_size):
     assert len(batches) == len(chunks)
     for got, chunk in zip(batches, chunks):
         want = encode_batch_loop(chunk, vocab)
-        assert got.dialogue_ids == want.dialogue_ids
         for name in ("ids", "tok_valid", "utt_valid", "is_user", "turn", "sent", "sat"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name

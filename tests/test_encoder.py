@@ -22,10 +22,24 @@ def as_leaves(params):
     return {k: ad.leaf(v) for k, v in params.items()}
 
 
+def real_rows(mask):
+    """The grid rows t*B + b of a (B, L, T) token mask that hold a token,
+    in grid order."""
+    return np.flatnonzero(mask.any(axis=2).T)
+
+
 def encode(P, ids, mask, E, **kw):
-    """Every row of the (B, L, T) grid, in grid order."""
-    B, L, _ = ids.shape
-    return enc.encode_grid(P, ids, mask, E, np.arange(L * B), **kw)
+    """Every real row of the (B, L, T) grid, in grid order."""
+    return enc.encode_grid(P, ids, mask, E, real_rows(mask), **kw)
+
+
+def on_grid(V, mask):
+    """``encode``'s rows at their grid rows t*B + b, NaN at the rows
+    without a token."""
+    B, L, _ = mask.shape
+    out = np.full((L * B, V.shape[1]), np.nan)
+    out[real_rows(mask)] = V
+    return out
 
 
 def encode_one(P, token_ids, token_mask, E):
@@ -79,26 +93,26 @@ def test_grid_matches_per_utterance_oracle():
     dialogues = [[[2, 3, 4], [5, 6]], [[7, 8, 9, 2]]]
     ids, mask = grid_of(dialogues, T=4)
     V = encode(as_leaves(params), ids, mask, E=4)
-    B, L = 2, 2
+    # the short dialogue's padding has no row
+    assert V.shape == (3, 8)
+    B = 2
     for b, d in enumerate(dialogues):
         for t, utt in enumerate(d):
             got = V.value[t * B + b]
             want = encoder_ref(utt, params, E=4)[0]
             assert np.max(np.abs(got - want)) <= 1e-10
-    # the padding row of the short dialogue is exactly zero
-    assert np.array_equal(V.value[1 * B + 1], np.zeros(8))
 
 
 def test_batch_of_two_equals_two_batches_of_one():
     params = make_params(10, 5, 4, seed=5)
     d1, d2 = [[2, 3, 4], [5, 6]], [[7, 8], [9, 2], [3, 4]]
     ids, mask = grid_of([d1, d2], T=3)
-    V = encode(as_leaves(params), ids, mask, E=4)
+    V = on_grid(encode(as_leaves(params), ids, mask, E=4).value, mask)
     for b, d in enumerate((d1, d2)):
         ids1, mask1 = grid_of([d], T=3)
         V1 = encode(as_leaves(params), ids1, mask1, E=4)
         for t in range(len(d)):
-            assert np.max(np.abs(V.value[t * 2 + b] - V1.value[t])) <= 1e-10
+            assert np.max(np.abs(V[t * 2 + b] - V1.value[t])) <= 1e-10
 
 
 def test_permuting_dialogues_permutes_outputs():
@@ -133,47 +147,58 @@ def ragged_grids(draw):
 @settings(max_examples=60, deadline=None)
 @given(ragged_grids())
 def test_packed_grid_matches_oracle_on_ragged_grids(case):
-    """Every real row equals the one-utterance oracle, every pad row is
-    exactly zero, and presenting the same utterances in another order
-    (so other ties in the length sort) permutes the rows."""
+    """Every real row equals the one-utterance oracle, asking for a row
+    without tokens is rejected, and presenting the same utterances in
+    another order (so other ties in the length sort) permutes the rows."""
     ids, mask, perm = case
     B, L, T = ids.shape
     params = make_params(VOCAB, 5, 4, seed=15)
-    V = encode(as_leaves(params), ids, mask, E=4).value
+    real = mask.reshape(B * L, T).any(axis=1)
+    if not real.all():
+        with pytest.raises(ad.ContractError):
+            enc.encode_grid(as_leaves(params), ids, mask, 4, np.arange(B * L))
+    if not real.any():
+        return
+    V = on_grid(encode(as_leaves(params), ids, mask, E=4).value, mask)
     for b in range(B):
         for t in range(L):
             n = int(mask[b, t].sum())
             if n:
                 want = encoder_ref(list(ids[b, t, :n]), params, E=4)[0]
                 assert np.max(np.abs(V[t * B + b] - want)) <= 1e-10
-            else:
-                assert np.all(V[t * B + b] == 0.0)
 
     # cell c = b * L + t of the permuted grid holds cell perm[c]
     shuffled = [a.reshape(B * L, T)[perm].reshape(B, L, T) for a in (ids, mask)]
-    Vp = encode(as_leaves(params), *shuffled, E=4).value
-    real = mask.reshape(B * L, T).any(axis=1)
+    Vp = on_grid(encode(as_leaves(params), *shuffled, E=4).value, shuffled[1])
     for c, src in enumerate(perm):
         got, want = Vp[(c % L) * B + c // L], V[(src % L) * B + src // L]
         if real[src]:
             assert np.max(np.abs(got - want)) <= 1e-10
-        else:
-            assert np.all(got == 0.0)
 
 
 def test_asked_rows_are_grid_rows_under_the_grid_dropout_draw():
-    """``rows`` picks and orders grid rows, pad rows included, and dropout
-    is drawn over the whole grid, so each row keeps its grid-order mask."""
+    """``rows`` picks and orders grid rows, and dropout is drawn over the
+    whole grid, so each row keeps its grid-order mask. The rows are
+    encoded in grid order whatever order they are asked in, so the
+    result is bitwise the grid-order one, permuted."""
     params = make_params(10, 5, 4, seed=17)
+    # row 3, the second dialogue's padding, is not a real row
     ids, mask = grid_of([[[2, 3, 4], [5, 6]], [[7, 8]]], T=3)
-    rows = np.array([3, 0, 2])  # row 3 is the second dialogue's padding
+    rows = np.array([2, 0, 1])
     for rate in (0.0, 0.5):
         full = encode(as_leaves(params), ids, mask, E=4, dropout_rate=rate,
                       rng=np.random.default_rng(3)).value
         some = enc.encode_grid(as_leaves(params), ids, mask, 4, rows, dropout_rate=rate,
                                rng=np.random.default_rng(3)).value
         assert np.array_equal(some, full[rows])
-    assert np.all(some[0] == 0.0)
+
+
+@pytest.mark.parametrize("rows", [[3], [0, 3, 1]], ids=["alone", "among-real"])
+def test_asking_a_row_without_tokens_is_rejected(rows):
+    params = make_params(10, 5, 4, seed=17)
+    ids, mask = grid_of([[[2, 3, 4], [5, 6]], [[7, 8]]], T=3)
+    with pytest.raises(ad.ContractError, match="first step"):
+        enc.encode_grid(as_leaves(params), ids, mask, 4, rows)
 
 
 def test_inner_padding_rejected():
@@ -243,7 +268,8 @@ def test_repeated_token_gradients_match_finite_differences():
     ids, mask = grid_of([[[2, 2, 2, 3], [2, 3]],
                          [[3, 2], [2, 2, 5, 2]],
                          [[5]]], T=4)
-    weight = np.random.default_rng(13).normal(size=(2 * 3, 6))
+    # five real utterances: the third dialogue's padding has no row
+    weight = np.random.default_rng(13).normal(size=(5, 6))
     names = ["enc.emb", "enc.lstm_f.W", "enc.lstm_b.W"]
 
     def loss_value():

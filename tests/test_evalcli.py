@@ -23,14 +23,15 @@ def load_report(path) -> dict:
 
 
 def test_confusion_fixture_and_errors():
-    cm = ev.confusion([0, 1, 2, 2], [0, 1, 1, 2], [0, 1, 2])
+    cm = ev.confusion([0, 1, 2, 2], [0, 1, 1, 2], 3)
     assert cm.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
-    with pytest.raises(ValueError, match="outside"):
-        ev.confusion([3], [0], [0, 1, 2])
-    with pytest.raises(ValueError, match="duplicate"):
-        ev.confusion([0], [0], [0, 0])
+    # a label outside 0..2 is named, on either side and at either end
+    for preds, truths, bad in (([3], [0], "3"), ([0], [-1], "-1"), ([0, 1], [1, 5], "5"),
+                               ([0.5], [0], "0.5")):
+        with pytest.raises(ValueError, match=f"label {bad} outside"):
+            ev.confusion(preds, truths, 3)
     with pytest.raises(ValueError):
-        ev.confusion([0, 1], [0], [0, 1])
+        ev.confusion([0, 1], [0], 2)
 
 
 def test_accuracy_fixture():
@@ -95,7 +96,7 @@ def test_metrics_agree_with_counting_oracles():
         k = int(rng.integers(2, 5))
         truths = rng.integers(0, k, size=n).tolist()
         preds = rng.integers(0, k, size=n).tolist()
-        assert np.array_equal(ev.confusion(preds, truths, list(range(k))),
+        assert np.array_equal(ev.confusion(preds, truths, k),
                               confusion_oracle(truths, preds, k))
         assert_score_labels_matches_oracles(preds, truths, k)
 

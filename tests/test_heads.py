@@ -30,16 +30,16 @@ def states_of(values):
 
 def use_decode(P, H_m, roles, use_mask=True):
     """One dialogue: H_m is its (L, K) state node, roles the matching
-    speakers."""
-    keep = np.array([[r == "user" or not use_mask for r in roles]])
-    return hd.use_decode_steps(P, H_m, keep, [1] * len(roles))
+    speakers. Returns (z_m, the (L, 1) attention weights)."""
+    keep = [r == "user" for r in roles] if use_mask else None
+    return hd.use_decode_steps(P, H_m, [1] * len(roles), keep)
 
 
-def discriminate(P, X_m, X_a, K):
+def discriminate(P, X_m, X_a):
     """One dialogue: X_m and X_a are (L, K) streams, one utterance per
     row. Returns the (2L, 2) logits node: row 2t + i is step t of stream
     i."""
-    return hd.discriminate_steps(P, X_m, X_a, [1] * X_m.value.shape[0], K)
+    return hd.discriminate_steps(P, X_m, X_a, [1] * X_m.value.shape[0])
 
 
 def test_param_specs_gate_heads():
@@ -57,8 +57,8 @@ def test_staff_positions_get_exactly_zero_attention():
     H_m = states_of(rng.normal(size=(L, K)))
     roles = ["user", "staff", "user", "staff"]
     z_m, alpha = use_decode(as_leaves(P), H_m, roles)
-    assert alpha.value[0, 1] == 0.0
-    assert alpha.value[0, 3] == 0.0
+    assert alpha.value[1, 0] == 0.0
+    assert alpha.value[3, 0] == 0.0
     assert abs(alpha.value.sum() - 1.0) <= 1e-12
     assert abs(softmax(z_m.value).sum() - 1.0) <= 1e-12
 
@@ -94,7 +94,7 @@ def test_all_staff_dialogue_pools_nothing():
     h1, h2 = rng.normal(size=K), rng.normal(size=K)
     z_m, alpha = use_decode(as_leaves(P), states_of([h1, h2]),
                             ["staff", "staff"])
-    assert np.array_equal(alpha.value, np.zeros((1, 2)))
+    assert np.array_equal(alpha.value, np.zeros((2, 1)))
     o = np.hstack([np.zeros(K), h2])[None, :]
     want = softmax_list((o @ P["use.W_o"] + P["use.b_o"])[0])
     assert np.max(np.abs(softmax(z_m.value)[0] - want)) <= 1e-12
@@ -143,7 +143,7 @@ def test_sa_probabilities_match_brute_force():
 def test_discriminator_zero_params_sit_on_the_fence():
     P = {name: np.zeros(shape) for name, shape in hd.param_specs(3, 2, False, True)}
     X_m, X_a = (ad.constant(x) for x in np.random.default_rng(17).normal(size=(2, 4, 3)))
-    logits = discriminate(as_leaves(P), X_m, X_a, K=3)
+    logits = discriminate(as_leaves(P), X_m, X_a)
     assert logits.shape == (2 * 4, hd.N_TASKS)
     assert np.max(np.abs(softmax(logits.value) - 0.5)) <= 1e-15
 
@@ -152,7 +152,7 @@ def test_discriminator_matches_scalar_gru_reference():
     K, L = 3, 4
     P = make_params(K, 2, use_aux=False, seed=18)
     streams = np.random.default_rng(19).normal(size=(2, L, K)) * 0.5
-    probs = softmax(discriminate(as_leaves(P), *map(ad.constant, streams), K=K).value)
+    probs = softmax(discriminate(as_leaves(P), *map(ad.constant, streams)).value)
     for s, X in enumerate(streams):
         h = np.zeros((1, K))
         for t in range(L):
@@ -168,12 +168,12 @@ def test_discriminator_batch_rows_are_independent():
     rng = np.random.default_rng(21)
     X_m, X_a = rng.normal(size=(2, L * B, K))
     logits = hd.discriminate_steps(as_leaves(P), ad.constant(X_m), ad.constant(X_a),
-                                   [B] * L, K)
+                                   [B] * L)
     # row r of both streams side by side
     probs = softmax(logits.value).reshape(L * B, 2 * hd.N_TASKS)
     for b in range(B):
         solo = discriminate(as_leaves(P), ad.constant(X_m[b::B]),
-                            ad.constant(X_a[b::B]), K=K)
+                            ad.constant(X_a[b::B]))
         solo_probs = softmax(solo.value).reshape(L, 2 * hd.N_TASKS)
         for t in range(L):
             assert np.max(np.abs(probs[t * B + b] - solo_probs[t])) <= 1e-12
@@ -187,7 +187,7 @@ def test_stacked_discriminator_equals_two_per_stream_runs():
     X_m, X_a, X_other = np.random.default_rng(27).normal(size=(3, L * B, K))
     leaves = as_leaves(P)
     probs = softmax(hd.discriminate_steps(leaves, ad.constant(X_m), ad.constant(X_a),
-                                          [B] * L, K).value)
+                                          [B] * L).value)
     for s, X in enumerate((X_m, X_a)):
         H = ad.gru_seq(ad.matmul(ad.constant(X), it.gates(leaves, "td", "W")),
                        it.gates(leaves, "td", "U"), it.gates(leaves, "td", "b"),
@@ -196,9 +196,9 @@ def test_stacked_discriminator_equals_two_per_stream_runs():
                                    leaves["td.b_o"]).value)
         assert np.max(np.abs(probs[s::2] - want)) <= 1e-12
     swapped_a = softmax(hd.discriminate_steps(leaves, ad.constant(X_m),
-                                              ad.constant(X_other), [B] * L, K).value)
+                                              ad.constant(X_other), [B] * L).value)
     swapped_m = softmax(hd.discriminate_steps(leaves, ad.constant(X_other),
-                                              ad.constant(X_a), [B] * L, K).value)
+                                              ad.constant(X_a), [B] * L).value)
     assert np.array_equal(swapped_a[0::2], probs[0::2])
     assert np.array_equal(swapped_m[1::2], probs[1::2])
 
@@ -208,15 +208,16 @@ def test_use_gradients_match_finite_differences():
     P = make_params(K, H, use_aux=False, use_td=False, seed=22)
     rng = np.random.default_rng(23)
     states = rng.normal(size=(L, B, K)) * 0.5
-    keep = np.array([[True, False, True], [True, True, False]])
     counts = [2, 2, 1]  # dialogue 0 runs three steps, dialogue 1 two
+    # packed rows: steps 0 and 1 hold dialogues 0 and 1, step 2 dialogue 0
+    keep = [True, True, False, True, True]
     target = np.zeros((B, hd.N_SAT))
     target[0, 1] = 1.0
     target[1, 2] = 1.0
 
     def build(leaves):
         H_m = ad.constant(states.reshape(L * B, K)[:sum(counts)])
-        z_m, _ = hd.use_decode_steps(leaves, H_m, keep, counts)
+        z_m, _ = hd.use_decode_steps(leaves, H_m, counts, keep)
         return ad.log_softmax_sum(z_m, -target)
 
     names = sorted(P)
@@ -244,7 +245,7 @@ def test_discriminator_gradients_match_finite_differences():
 
     def build(leaves):
         # log-likelihood of each stream's own class at every step
-        logits = discriminate(leaves, ad.constant(X_m), ad.constant(X_a), K=K)
+        logits = discriminate(leaves, ad.constant(X_m), ad.constant(X_a))
         return ad.log_softmax_sum(logits, own_class)
 
     names = sorted(n for n in P if n.startswith("td."))

@@ -62,7 +62,7 @@ def test_projection_matches_closed_form():
 
 def test_pack_runs_dialogues_longest_first_without_padding():
     utt_valid = np.arange(4) < np.array([2, 4, 1, 4])[:, None]
-    pk = it.pack(utt_valid)
+    pk = ad.pack(utt_valid)
     assert pk.order.tolist() == [1, 3, 0, 2]  # the tie keeps batch order
     assert pk.counts.tolist() == [4, 3, 2, 2]
     # grid cell t*B + b of each row: step 0 holds dialogues 1, 3, 0, 2,
@@ -70,9 +70,9 @@ def test_pack_runs_dialogues_longest_first_without_padding():
     assert pk.rows.tolist() == [1, 3, 0, 2, 5, 7, 4, 9, 11, 13, 15]
     assert pk.take(np.arange(16).reshape(4, 4)).tolist() == [
         4, 12, 0, 8, 5, 13, 1, 6, 14, 7, 15]
-    for bad in ([[True, False, True]], [[True], [False]]):
+    for bad in ([[True, False, True]], [[True], [False]], np.zeros((0, 3), dtype=bool)):
         with pytest.raises(ad.ContractError, match="pack"):
-            it.pack(np.array(bad))
+            ad.pack(np.array(bad))
 
 
 def shared_gru(P, X, B, L):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import stman.autodiff as ad
 import stman.corpus as cp
-import stman.interaction as it
 import stman.training as tr
 from testkit import softmax
 
@@ -174,14 +173,14 @@ def interleaved_logits(rows):
 def test_task_loss_zero_when_certain_and_right():
     z_m = logits_of([[1.0, 0.0, 0.0]])
     loss = tr.task_loss(z_m, np.array([0]), None, None,
-                        it.pack(np.array([[True]])), use_aux=False)
+                        ad.pack(np.array([[True]])), use_aux=False)
     assert abs(loss.value[0, 0]) <= 1e-12
 
 
 def test_task_loss_uniform_is_log3():
     z_m = logits_of([[1 / 3, 1 / 3, 1 / 3]])
     loss = tr.task_loss(z_m, np.array([2]), None, None,
-                        it.pack(np.array([[True]])), use_aux=False)
+                        ad.pack(np.array([[True]])), use_aux=False)
     assert loss.value[0, 0] == pytest.approx(math.log(3.0), abs=1e-12)
 
 
@@ -191,7 +190,7 @@ def test_task_loss_with_uniform_sentiments_is_two_log3():
     sa = logits_of([[1 / 3] * 3] * L)
     loss = tr.task_loss(z_m, np.array([1]), sa,
                         np.zeros((1, L), dtype=int),
-                        it.pack(np.ones((1, L), dtype=bool)), use_aux=True)
+                        ad.pack(np.ones((1, L), dtype=bool)), use_aux=True)
     assert loss.value[0, 0] == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
 
 
@@ -199,7 +198,7 @@ def test_task_loss_mixed_fixture():
     z_m = logits_of([[0.5, 0.25, 0.25]])
     sa = logits_of([[0.25, 0.5, 0.25], [0.2, 0.2, 0.6]])
     loss = tr.task_loss(z_m, np.array([0]), sa, np.array([[1, 2]]),
-                        it.pack(np.ones((1, 2), dtype=bool)), use_aux=True)
+                        ad.pack(np.ones((1, 2), dtype=bool)), use_aux=True)
     want = -math.log(0.5) + 0.5 * (-math.log(0.5) - math.log(0.6))
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
 
@@ -207,7 +206,7 @@ def test_task_loss_mixed_fixture():
 def test_task_loss_batch_is_dialogue_mean():
     z_m = logits_of([[0.5, 0.25, 0.25], [0.1, 0.8, 0.1]])
     loss = tr.task_loss(z_m, np.array([0, 1]), None, None,
-                        it.pack(np.ones((2, 1), dtype=bool)), use_aux=False)
+                        ad.pack(np.ones((2, 1), dtype=bool)), use_aux=False)
     want = 0.5 * (-math.log(0.5) - math.log(0.8))
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
 
@@ -217,7 +216,7 @@ def test_task_loss_ignores_padded_sentiment_rows():
     never read; logits that carry a row for it are rejected."""
     z_m = logits_of([[1.0, 0.0, 0.0]])
     sa = logits_of([[0.5, 0.3, 0.2]])
-    pk = it.pack(np.array([[True, False]]))
+    pk = ad.pack(np.array([[True, False]]))
     loss = tr.task_loss(z_m, np.array([0]), sa, np.array([[0, 2]]), pk, use_aux=True)
     assert loss.value[0, 0] == pytest.approx(-math.log(0.5), abs=1e-12)
     with pytest.raises(ad.ShapeError):
@@ -227,29 +226,29 @@ def test_task_loss_ignores_padded_sentiment_rows():
 
 def test_adv_loss_perfect_discrimination_is_zero():
     zk = interleaved_logits([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
-    j = tr.adv_loss(zk, it.pack(np.ones((1, 2), dtype=bool)))
+    j = tr.adv_loss(zk, ad.pack(np.ones((1, 2), dtype=bool)))
     assert abs(j.value[0, 0]) <= 1e-12
 
 
 def test_adv_loss_coin_flip_is_minus_log2():
     zk = interleaved_logits([[0.5, 0.5, 0.5, 0.5]])
-    j = tr.adv_loss(zk, it.pack(np.ones((1, 1), dtype=bool)))
+    j = tr.adv_loss(zk, ad.pack(np.ones((1, 1), dtype=bool)))
     assert j.value[0, 0] == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_adv_loss_mixed_fixture_and_padding():
     # each row: stream m's two classes, then stream a's
     zk = interleaved_logits([[0.9, 0.1, 0.3, 0.7], [0.8, 0.2, 0.4, 0.6]])
-    j = tr.adv_loss(zk, it.pack(np.ones((1, 2), dtype=bool)))
+    j = tr.adv_loss(zk, ad.pack(np.ones((1, 2), dtype=bool)))
     want = (math.log(0.9) + math.log(0.8) + math.log(0.7) + math.log(0.6)) / 4.0
     assert j.value[0, 0] == pytest.approx(want, abs=1e-12)
     # a padded utterance has no row
     j_pad = tr.adv_loss(interleaved_logits([[0.9, 0.1, 0.3, 0.7]]),
-                        it.pack(np.array([[True, False]])))
+                        ad.pack(np.array([[True, False]])))
     want_pad = (math.log(0.9) + math.log(0.7)) / 2.0
     assert j_pad.value[0, 0] == pytest.approx(want_pad, abs=1e-12)
     with pytest.raises(ad.ShapeError):
-        tr.adv_loss(zk, it.pack(np.array([[True, False]])))
+        tr.adv_loss(zk, ad.pack(np.array([[True, False]])))
 
 
 # --------------------------------------------------------- batched forwards
@@ -338,13 +337,16 @@ def test_batched_losses_are_mean_of_singles_on_random_batches(dialogues, seed):
 def test_gradient_check_passes_on_a_packed_batch():
     """One batch of lengths 3, 1, 2, in that order: the forwards reorder
     its dialogues and leave out its padded utterances, and both
-    objectives' gradients must still match the finite differences."""
+    objectives' gradients must still match the finite differences, with
+    the satisfaction attention over the user rows (role mask) and over
+    every row (no keep flags)."""
     dialogues = dialogues_of_lengths([3, 1, 2])
     vocab = cp.build_vocab(dialogues, min_count=1)
-    cfg = small_config(K=3, Z=2, H=2, D=3, E=2)
-    assert cfg.use_td
-    worst = tr.gradient_check(cfg, dialogues, vocab)
-    assert max(worst.values()) <= 1e-4
+    for use_mask in (True, False):
+        cfg = small_config(K=3, Z=2, H=2, D=3, E=2, use_mask=use_mask)
+        assert cfg.use_td
+        worst = tr.gradient_check(cfg, dialogues, vocab)
+        assert max(worst.values()) <= 1e-4, use_mask
 
 
 def test_training_step_runs_the_recurrences_on_real_utterances_only(monkeypatch):
@@ -456,16 +458,17 @@ def test_predict_batches_dialogues_in_stable_descending_length_order(monkeypatch
     cfg = small_config(batch=4)
     params = tr.init_params(cfg, len(vocab))
     seen = []
-    real_forward = tr.forward_task
+    real_batchify = cp.batchify
 
-    def spy(P, batch, *args, **kwargs):
-        seen.append(batch)
-        return real_forward(P, batch, *args, **kwargs)
+    def spy(ds, *args):
+        batches = real_batchify(ds, *args)
+        seen.append(([d.id for d in ds], batches[0].utt_valid.shape[1]))
+        return batches
 
-    monkeypatch.setattr(tr, "forward_task", spy)
+    monkeypatch.setattr(cp, "batchify", spy)
     tr.predict(params, dialogues, vocab, cfg)
-    assert [b.utt_valid.shape[1] for b in seen] == [5, 3, 1]
-    assert [i for b in seen for i in b.dialogue_ids] == [
+    assert [L for _, L in seen] == [5, 3, 1]
+    assert [i for ids, _ in seen for i in ids] == [
         "d1", "d3", "d8", "d6", "d2", "d5", "d0", "d7", "d4"]
 
 
