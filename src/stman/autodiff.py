@@ -588,6 +588,16 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
     one step's buffers (two steps' for the cells, written in turn). Every
     step works in preallocated buffers, reading the state it starts from
     as a view of the rows the step before it wrote.
+
+    The gate activations are gate-major, (4, rows, E), so that each
+    gate's elementwise work is a contiguous pass: the pass that halves
+    the i|f|o pre-activations writes them into that layout, and the
+    bias is added from a copy tiled to one step's rows. What feeds
+    a matmul stays row-major: each step's pre-activations come from one
+    (n, E) @ (E, 4E) product, and ``dpre`` is (N, 4E), so ``dU``,
+    ``db``, ``dXW`` and each step's ``dp @ U.T`` are single products,
+    bitwise those of a per-row loop (per-gate products round
+    differently).
     """
     xw, u, bv = XW.value, U.value, b.value
     E = u.shape[0]
@@ -599,10 +609,11 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
     steps = range(T - 1, -1, -1) if reverse else range(T)
     taped = _will_record((XW, U, b))
     rows = N if taped else n0
-    acts = np.empty((rows, 4 * E))  # gate activations, i|f|o|g
+    acts = np.empty((4, rows, E))  # gate activations, gate-major i|f|o|g
     tanh_c = np.empty((rows, E))
     C = np.empty((N, E)) if taped else np.empty((2, n0, E))
     pre = np.empty((n0, 4 * E))
+    bias = np.repeat(bv, n0, axis=0)
     H = np.empty((N, E))
     # the zero state: the start of the first step run, and of the rows a
     # reverse step has beyond the step run before it (its start state is
@@ -613,7 +624,7 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
         lo, hi = offs[j], offs[j + 1]
         n = hi - lo
         r = lo if taped else 0
-        a, tc, p = acts[r : r + n], tanh_c[r : r + n], pre[:n]
+        a, tc, p = acts[:, r : r + n], tanh_c[r : r + n], pre[:n]
         c = C[lo:hi] if taped else C[j % 2, :n]
         if last is None:
             hp, cp = h0[:n], c0[:n]
@@ -626,18 +637,22 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
                 hp, cp = h0[:n], c0[:n]
         np.matmul(hp, u, out=p)
         p += xw[lo:hi]
-        p += bv
-        # sigmoid(x) = (tanh(x / 2) + 1) / 2 on i|f|o, one tanh for all four
-        p[:, : 3 * E] *= 0.5
-        np.tanh(p, out=a)
-        s = a[:, : 3 * E]
+        p += bias[:n]
+        # sigmoid(x) = (tanh(x / 2) + 1) / 2 on i|f|o, one tanh for all four;
+        # the halving pass also moves the gates into their slabs
+        p4 = p.reshape(n, 4, E).transpose(1, 0, 2)
+        np.multiply(p4[:3], 0.5, out=a[:3])
+        a[3] = p4[3]
+        np.tanh(a, out=a)
+        s = a[:3]
         s += 1.0
         s *= 0.5
-        np.multiply(a[:, E : 2 * E], cp, out=c)
-        np.multiply(a[:, :E], a[:, 3 * E :], out=tc)
+        i, f, o, g = a[0], a[1], a[2], a[3]
+        np.multiply(f, cp, out=c)
+        np.multiply(i, g, out=tc)
         c += tc
         np.tanh(c, out=tc)
-        np.multiply(a[:, 2 * E : 3 * E], tc, out=H[lo:hi])
+        np.multiply(o, tc, out=H[lo:hi])
         last = lo, n, c
     out = _record(H, (XW, U, b))
     rec, rX, rU, rb = out.rec, XW.rec, U.rec, b.rec
@@ -650,13 +665,8 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
             # each step adds the next step's start-state gradient into it
             dH = rec.grad
             dpre = np.empty((N, 4 * E))
-            # d(activation)/d(pre-activation): a (1 - a) on i|f|o, 1 - a^2 on g
-            np.subtract(1.0, acts, out=dpre)
-            dpre *= acts
-            dg = dpre[:, 3 * E :]
-            np.multiply(acts[:, 3 * E :], acts[:, 3 * E :], out=dg)
-            np.subtract(1.0, dg, out=dg)
-            prods = np.empty((n0, 4 * E))
+            # a step's gate derivatives and the products they scale
+            derivs, prods = np.empty((4, n0, E)), np.empty((4, n0, E))
             dc_buf, tmp = np.empty((n0, E)), np.empty((n0, E))
             # gradient of the start state of the step run after this one
             dh_next, dc_next = np.empty((n0, E)), np.empty((n0, E))
@@ -665,22 +675,28 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
                 lo, hi = offs[j], offs[j + 1]
                 n = hi - lo
                 k = min(n, m)
-                a, tc = acts[lo:hi], tanh_c[lo:hi]
-                dh, dc, t, g = dH[lo:hi], dc_buf[:n], tmp[:n], prods[:n]
+                a, tc = acts[:, lo:hi], tanh_c[lo:hi]
+                i, f, o, g = a[0], a[1], a[2], a[3]
+                dh, dc, t, q, d = dH[lo:hi], dc_buf[:n], tmp[:n], prods[:, :n], derivs[:, :n]
+                # d(activation)/d(pre-activation): a (1 - a) on i|f|o, 1 - a^2 on g
+                np.subtract(1.0, a[:3], out=d[:3])
+                d[:3] *= a[:3]
+                np.multiply(g, g, out=d[3])
+                np.subtract(1.0, d[3], out=d[3])
                 dh[:k] += dh_next[:k]
-                np.multiply(dh, a[:, 2 * E : 3 * E], out=t)
+                np.multiply(dh, o, out=t)
                 np.multiply(tc, tc, out=dc)
                 np.subtract(1.0, dc, out=dc)
                 dc *= t
                 dc[:k] += dc_next[:k]
-                np.multiply(dc, a[:, 3 * E :], out=g[:, :E])
-                np.multiply(dc, c_prev[lo:hi], out=g[:, E : 2 * E])
-                np.multiply(dh, tc, out=g[:, 2 * E : 3 * E])
-                np.multiply(dc, a[:, :E], out=g[:, 3 * E :])
+                np.multiply(dc, g, out=q[0])
+                np.multiply(dc, c_prev[lo:hi], out=q[1])
+                np.multiply(dh, tc, out=q[2])
+                np.multiply(dc, i, out=q[3])
                 dp = dpre[lo:hi]
-                dp *= g
+                np.multiply(q, d, out=dp.reshape(n, 4, E).transpose(1, 0, 2))
                 np.matmul(dp, u.T, out=dh_next[:n])
-                np.multiply(dc, a[:, E : 2 * E], out=dc_next[:n])
+                np.multiply(dc, f, out=dc_next[:n])
                 m = n
             if rU is not None:
                 _acc(rU, h_prev.T @ dpre)
@@ -706,7 +722,13 @@ def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
 
     As in ``lstm_seq``, the gates and ``h_prev * r`` are kept for every
     row only when a tape records the node, and each step works in
-    preallocated buffers.
+    preallocated buffers. The gate activations are gate-major,
+    (3, rows, K), and so is each backward step's gradient before one
+    copy writes it into the row-major (N, 3K) ``dpre``; the bias is
+    added from copies tiled to one step's rows. The two recurrent
+    products of a step and those of ``dU``, ``db`` and ``dXW`` stay the
+    single row-major ones, so the results stay bitwise those of a
+    per-row loop.
     """
     xw, u = XW.value, U.value
     bv = None if b is None else b.value
@@ -718,38 +740,42 @@ def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
     offs = _step_offsets("gru_seq", counts, xw.shape[0])
     N, T, n0 = xw.shape[0], len(offs) - 1, offs[1]
     u_rz, u_h = u[:, : 2 * K], u[:, 2 * K :]
+    x_rz, x_h = xw[:, : 2 * K], xw[:, 2 * K :]
     parents = (XW, U) if b is None else (XW, U, b)
     taped = _will_record(parents)
     rows = N if taped else n0
-    acts = np.empty((rows, 3 * K))  # gate activations, r|z|h
+    acts = np.empty((3, rows, K))  # gate activations, gate-major r|z|h
     hr = np.empty((rows, K))  # h_prev * r, the candidate's recurrent input
     pre_rz, pre_h, tmp = np.empty((n0, 2 * K)), np.empty((n0, K)), np.empty((n0, K))
+    if bv is not None:
+        b_rz, b_h = np.repeat(bv[:, : 2 * K], n0, axis=0), np.repeat(bv[:, 2 * K :], n0, axis=0)
     H = np.empty((N, K))
     hp = np.zeros((n0, K))  # the state the first step starts from
     for j in range(T):
         lo, hi = offs[j], offs[j + 1]
         n = hi - lo
         r = lo if taped else 0
-        a, q, h = acts[r : r + n], hr[r : r + n], H[lo:hi]
+        a, q, h = acts[:, r : r + n], hr[r : r + n], H[lo:hi]
         p_rz, p_h, t = pre_rz[:n], pre_h[:n], tmp[:n]
         if j:
             # every row of this step ran in the last one, as its prefix
             hp = H[offs[j - 1] : offs[j - 1] + n]
         np.matmul(hp, u_rz, out=p_rz)
-        p_rz += xw[lo:hi, : 2 * K]
+        p_rz += x_rz[lo:hi]
         if bv is not None:
-            p_rz += bv[:, : 2 * K]
-        p_rz *= 0.5
-        s = a[:, : 2 * K]
-        np.tanh(p_rz, out=s)
+            p_rz += b_rz[:n]
+        # the halving pass also moves r and z into their slabs
+        s = a[:2]
+        np.multiply(p_rz.reshape(n, 2, K).transpose(1, 0, 2), 0.5, out=s)
+        np.tanh(s, out=s)
         s += 1.0
         s *= 0.5
-        z, c = a[:, K : 2 * K], a[:, 2 * K :]
-        np.multiply(hp, a[:, :K], out=q)
+        reset, z, c = a[0], a[1], a[2]
+        np.multiply(hp, reset, out=q)
         np.matmul(q, u_h, out=p_h)
-        p_h += xw[lo:hi, 2 * K :]
+        p_h += x_h[lo:hi]
         if bv is not None:
-            p_h += bv[:, 2 * K :]
+            p_h += b_h[:n]
         np.tanh(p_h, out=c)
         np.multiply(z, hp, out=h)
         np.subtract(hp, h, out=h)
@@ -765,17 +791,18 @@ def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
             # the node's own gradient, dropped once this rule has run
             dH = rec.grad
             dpre = np.empty((N, 3 * K))
+            grads = np.empty((3, n0, K))  # a step's rows of dpre, gate-major
             dhr_buf, tmp = np.empty((n0, K)), np.empty((n0, K))
             # gradient of the next step's start state, and its rows
             dh_next, m = np.empty((n0, K)), 0
             for j in range(T - 1, -1, -1):
                 lo, hi = offs[j], offs[j + 1]
                 n = hi - lo
-                a, hp = acts[lo:hi], h_prev[lo:hi]
-                r, z, c = a[:, :K], a[:, K : 2 * K], a[:, 2 * K :]
+                r, z, c, hp = acts[0, lo:hi], acts[1, lo:hi], acts[2, lo:hi], h_prev[lo:hi]
                 dh, dhr, t, dp = dH[lo:hi], dhr_buf[:n], tmp[:n], dpre[lo:hi]
                 dh[:m] += dh_next[:m]
-                d_r, d_z, d_c = dp[:, :K], dp[:, K : 2 * K], dp[:, 2 * K :]
+                d = grads[:, :n]
+                d_r, d_z, d_c = d[0], d[1], d[2]
                 np.multiply(dh, z, out=d_c)
                 np.multiply(c, c, out=t)
                 np.subtract(1.0, t, out=t)
@@ -790,6 +817,7 @@ def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
                 d_z *= z
                 np.subtract(1.0, z, out=t)
                 d_z *= t
+                np.copyto(dp.reshape(n, 3, K), d.transpose(1, 0, 2))
                 nx = dh_next[:n]
                 np.multiply(dh, z, out=t)
                 np.subtract(dh, t, out=nx)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import gc
-import hashlib
 import json
 import math
 import numbers
@@ -178,7 +177,7 @@ def as_leaves(params: dict[str, np.ndarray]) -> dict[str, ad.Node]:
 def fingerprint(params: dict[str, np.ndarray], prefixes=("",)) -> str:
     """Order-independent content hash of every parameter matching any of
     the prefixes; used to assert what an update phase did not touch."""
-    h = hashlib.sha256()
+    h = rngs._sha256()
     for name in sorted(params):
         if any(name.startswith(p) for p in prefixes):
             h.update(name.encode())

@@ -536,7 +536,7 @@ def test_lstm_seq_is_bitwise_the_step_by_step_reference(counts, reverse):
     """Without a tape and under one, output and the XW, U and b gradients
     equal those of the reference loop over whole-length state arrays."""
     rng = np.random.default_rng(40)
-    for E in (1, 3, 8):
+    for E in (1, 3, 8, 16, 50):
         N = sum(counts)
         xw, dH = rng.normal(size=(N, 4 * E)), rng.normal(size=(N, E))
         U, b = rng.normal(scale=0.5, size=(E, 4 * E)), rng.normal(size=(1, 4 * E))
@@ -551,7 +551,7 @@ def test_lstm_seq_is_bitwise_the_step_by_step_reference(counts, reverse):
 def test_gru_seq_is_bitwise_the_step_by_step_reference(counts):
     """As for lstm_seq; no bias (None) is bitwise a zero bias."""
     rng = np.random.default_rng(41)
-    for K in (1, 3, 8):
+    for K in (1, 3, 8, 32, 100):
         N = sum(counts)
         xw, dH = rng.normal(size=(N, 3 * K)), rng.normal(size=(N, K))
         U, b = rng.normal(scale=0.5, size=(K, 3 * K)), rng.normal(size=(1, 3 * K))
@@ -567,6 +567,28 @@ def test_gru_seq_is_bitwise_the_step_by_step_reference(counts):
         assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref[:2]))
 
 
+def _taped_peak_excess(op, xw, U, b):
+    """How much higher a taped call of ``op`` on leaves peaks than an
+    untaped one, in bytes of traced memory."""
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for taped in (False, True):
+            leaves = [ad.leaf(xw), ad.leaf(U), ad.leaf(b)]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            if taped:
+                with ad.Tape():
+                    H = op(*leaves)
+            else:
+                H = op(*leaves)
+            peaks[taped] = tracemalloc.get_traced_memory()[1] - base
+            del H
+    finally:
+        tracemalloc.stop()
+    return peaks[True] - peaks[False]
+
+
 def test_untaped_lstm_seq_keeps_no_per_row_state():
     """Without a tape the gates, the cell's tanh and the start states
     live for one step: the call peaks lower than a taped one by about
@@ -577,24 +599,20 @@ def test_untaped_lstm_seq_keeps_no_per_row_state():
     xw = rng.normal(size=(N, 4 * E))
     U, b = rng.normal(scale=0.5, size=(E, 4 * E)), rng.normal(size=(1, 4 * E))
     saved = 7 * N * E * 8
-    peaks = {}
-    tracemalloc.start()
-    try:
-        for taped in (False, True):
-            leaves = [ad.leaf(xw), ad.leaf(U), ad.leaf(b)]
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            if taped:
-                with ad.Tape():
-                    H = ad.lstm_seq(*leaves, counts)
-            else:
-                H = ad.lstm_seq(*leaves, counts)
-            peaks[taped] = tracemalloc.get_traced_memory()[1] - base
-            del H
-    finally:
-        tracemalloc.stop()
     # less the one step's rows an untaped call reuses
-    assert peaks[True] - peaks[False] >= 0.95 * saved
+    assert _taped_peak_excess(lambda *a: ad.lstm_seq(*a, counts), xw, U, b) >= 0.95 * saved
+
+
+def test_untaped_gru_seq_keeps_no_per_row_state():
+    """As for lstm_seq: without a tape the gates, ``h_prev * r`` and the
+    start states live for one step, one (N, 3K) and two (N, K) arrays."""
+    K, counts = 32, [40] * 100
+    N = sum(counts)
+    rng = np.random.default_rng(43)
+    xw = rng.normal(size=(N, 3 * K))
+    U, b = rng.normal(scale=0.5, size=(K, 3 * K)), rng.normal(size=(1, 3 * K))
+    saved = 5 * N * K * 8
+    assert _taped_peak_excess(lambda *a: ad.gru_seq(*a, counts), xw, U, b) >= 0.95 * saved
 
 
 def _recurrent_leaves(rng):

@@ -2,10 +2,12 @@
 so a star import never fails on a stale entry, and is used by code
 outside the tests; every autodiff op has a caller in the package; and
 the task and adversarial forwards record a tape whose size does not
-grow with the dialogue length; and importing the evaluation and training
-modules does not load ``numpy.random``."""
+grow with the dialogue length; importing the evaluation and training
+modules does not load ``numpy.random``; and importing the package does
+not load OpenSSL, while its sha256 digests stay those of ``hashlib``."""
 
 import ast
+import hashlib
 import importlib
 import os
 import pkgutil
@@ -19,6 +21,7 @@ import pytest
 import stman
 import stman.autodiff as ad
 import stman.corpus as cp
+import stman.rngs as rngs
 import stman.training as tr
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(stman.__path__))
@@ -103,3 +106,23 @@ def test_importing_the_evaluation_and_training_modules_leaves_numpy_random_unloa
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_the_package_leaves_openssl_unloaded():
+    """``hashlib`` loads OpenSSL (``_hashlib``), a few MB of resident
+    memory; the package hashes with the interpreter's own sha256. A fresh
+    interpreter, since the test runner has loaded ``hashlib`` itself."""
+    src = str(Path(stman.__file__).resolve().parents[1])
+    code = "import sys, stman.evalcli; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_the_package_sha256_gives_hashlib_digests():
+    for data in (b"", b"init", bytes(range(256)) * 9):
+        assert rngs._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    h = rngs._sha256()
+    h.update(b"enc.")
+    h.update(b"W")
+    assert h.digest() == hashlib.sha256(b"enc.W").digest()
