@@ -22,7 +22,10 @@ utterances of dialogues) have one packed layout, which ``pack`` builds
 from a padding mask: sequences longest first, step-major, with no row
 for padding. The sequence ops ``packed_sum``, ``packed_softmax``,
 ``lstm_seq`` and ``gru_seq`` each take a packed operand and its step
-counts, and run every step of every sequence as one node.
+counts, and run every step of every sequence as one node. The two
+recurrences share one driver, ``_recurrence``: it keeps their gates and
+states for every row only under a tape, and its backward sweep carries
+each step's start-state gradient into the node's own gradient.
 """
 
 from __future__ import annotations
@@ -479,23 +482,6 @@ def _step_offsets(op: str, counts, rows: int) -> list[int]:
     return offs
 
 
-def _start_states(S: np.ndarray, offs: list[int], steps) -> np.ndarray:
-    """The state each packed row starts from, given the states ``S`` the
-    steps produced in the run order ``steps``: a row's own row of the
-    step run before it, zero where that step has no such row (the rows
-    of the shorter of two neighbouring steps are a prefix of the
-    other's) and for the first step run."""
-    start = np.zeros_like(S)
-    prev = None
-    for j in steps:
-        if prev is not None:
-            lo, plo = offs[j], offs[prev]
-            k = min(offs[j + 1] - lo, offs[prev + 1] - plo)
-            start[lo : lo + k] = S[plo : plo + k]
-        prev = j
-    return start
-
-
 def packed_sum(x: Node, counts) -> Node:
     """Sum a packed sequence over its steps.
 
@@ -572,6 +558,92 @@ def packed_softmax(scores: Node, counts, keep=None) -> Node:
     return out
 
 
+def _recurrence(op, parents, counts, reverse, forward, adjoint, grad_U, cell=False):
+    """A gated recurrence over a packed batch, as one node: the machinery
+    ``lstm_seq`` and ``gru_seq`` share. ``parents`` is (XW, U) or
+    (XW, U, b): XW (N, G*W) in the layout of ``packed_sum``, U (W, G*W)
+    for G gates of width W. Returns the (N, W) hidden states.
+
+    ``forward(n0)`` allocates the op's scratch for steps of up to n0 rows
+    and returns ``step(lo, hi, hp, h, a, kept, cp, c)``. It runs rows
+    lo:hi from the start state ``hp`` (and cells ``cp``, for a ``cell``)
+    and writes ``h`` (and ``c``), the gate activations ``a``, gate-major
+    (G, n, W) so that each gate's elementwise pass is contiguous, and
+    ``kept`` (n, W), the one other per-row array its adjoint reads.
+    These and the start states are kept for every row only under a
+    tape; without one, each step reuses one step's buffers. The cells
+    take two steps' buffers in turn either way, since backward reads the
+    start states. A step starts from a view of the rows the step run
+    before it wrote, or, when it has more rows, their copy into a prefix
+    of the zero state.
+
+    Backward takes the steps in reverse run order. To a step's rows
+    ``dh`` of the node's own gradient it adds, in the first k, the
+    start-state gradient of the step run after it. Then ``back(lo, hi,
+    dh, dp, dh_next, k)``, which ``adjoint(n0, acts, kept, h_prev,
+    c_prev)`` returns with the op's backward scratch, writes the step's
+    rows ``dp`` of ``dpre`` (N, G*W) and its own start-state gradient.
+    ``dU`` is ``grad_U(h_prev, kept, dpre)``, ``db`` the column sums of
+    ``dpre`` and ``dXW`` ``dpre``. Every matmul operand stays row-major,
+    so each result is bitwise that of a per-row loop.
+    """
+    offs, (W, GW) = _step_offsets(op, counts, len(parents[0].value)), parents[1].value.shape
+    N, T, n0 = offs[-1], len(offs) - 1, offs[1]
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    taped = _will_record(parents)
+    rows = N if taped else n0
+    acts, kept = np.empty((GW // W, rows, W)), np.empty((rows, W))
+    C = np.empty((2, n0, W)) if cell else None
+    step, H = forward(n0), np.empty((N, W))
+    h0, c0 = np.zeros((n0, W)), np.zeros((n0, W)) if cell else None
+    if taped:  # the start states, which backward reads
+        h_prev, c_prev = np.empty((N, W)), np.empty((N, W)) if cell else None
+    hs, cs, cp, c = h0, c0, None, None  # hs, cs: the last step's states
+    for j in steps:
+        lo, hi = offs[j], offs[j + 1]
+        n, h = hi - lo, H[lo:hi]
+        r = lo if taped else 0
+        if n > len(hs):  # the last step's states, then zeros for the rows it lacks
+            h0[: len(hs)], hs = hs, h0
+            if cell:
+                c0[: len(cs)], cs = cs, c0
+        hp = hs[:n]
+        if cell:
+            cp, c = cs[:n], C[j % 2, :n]
+        if taped:
+            h_prev[lo:hi] = hp
+            if cell:
+                c_prev[lo:hi] = cp
+        step(lo, hi, hp, h, acts[:, r : r + n], kept[r : r + n], cp, c)
+        hs, cs = h, c
+    out = _record(H, parents)
+    rec, rX, rU = out.rec, parents[0].rec, parents[1].rec
+    if rec is not None:
+        rb = parents[2].rec if len(parents) == 3 else None
+
+        def rule():
+            # the node's own gradient, dropped once this rule has run, so
+            # each step adds the next step's start-state gradient into it
+            dH, dpre = rec.grad, np.empty((N, GW))
+            back = adjoint(n0, acts, kept, h_prev, c_prev)
+            dh_next, m = np.empty((n0, W)), 0  # that gradient, and its rows
+            for j in reversed(steps):
+                lo, hi = offs[j], offs[j + 1]
+                n, dh = hi - lo, dH[lo:hi]
+                k = n if n < m else m
+                dh[:k] += dh_next[:k]
+                back(lo, hi, dh, dpre[lo:hi], dh_next[:n], k)
+                m = n
+            if rU is not None:
+                _acc(rU, grad_U(h_prev, kept, dpre))
+            if rb is not None:
+                _acc(rb, dpre.sum(axis=0, keepdims=True))
+            _acc(rX, dpre)
+
+        rec.backward_rule = rule
+    return out
+
+
 def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
     """One LSTM direction over a packed batch of sequences, as one node.
 
@@ -581,131 +653,76 @@ def lstm_seq(XW: Node, U: Node, b: Node, counts, reverse: bool = False) -> Node:
     and drops the state of sequences that have ended. With ``reverse``
     the steps run last to first, and a sequence enters at its last step
     from the zero state. Returns the (N, E) hidden states, row-aligned
-    with ``XW``. Backward is hand-derived BPTT over the stored gates.
-
-    The gates, the cell's tanh and the cell states are kept for every
-    row only when a tape records the node; without one, each step reuses
-    one step's buffers (two steps' for the cells, written in turn). Every
-    step works in preallocated buffers, reading the state it starts from
-    as a view of the rows the step before it wrote.
-
-    The gate activations are gate-major, (4, rows, E), so that each
-    gate's elementwise work is a contiguous pass: the pass that halves
-    the i|f|o pre-activations writes them into that layout, and the
-    bias is added from a copy tiled to one step's rows. What feeds
-    a matmul stays row-major: each step's pre-activations come from one
-    (n, E) @ (E, 4E) product, and ``dpre`` is (N, 4E), so ``dU``,
-    ``db``, ``dXW`` and each step's ``dp @ U.T`` are single products,
-    bitwise those of a per-row loop (per-gate products round
-    differently).
+    with ``XW``. Backward is hand-derived BPTT over the stored gates, cell
+    tanh and start states (see ``_recurrence``). The bias is added from a
+    copy tiled to one step's rows.
     """
     xw, u, bv = XW.value, U.value, b.value
     E = u.shape[0]
     if u.shape != (E, 4 * E) or xw.shape[1] != 4 * E or bv.shape != (1, 4 * E):
         raise ShapeError(f"lstm_seq: XW {xw.shape}, U {u.shape}, b {bv.shape} "
                          "do not fit an i|f|o|g layout")
-    offs = _step_offsets("lstm_seq", counts, xw.shape[0])
-    N, T, n0 = xw.shape[0], len(offs) - 1, offs[1]
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    taped = _will_record((XW, U, b))
-    rows = N if taped else n0
-    acts = np.empty((4, rows, E))  # gate activations, gate-major i|f|o|g
-    tanh_c = np.empty((rows, E))
-    C = np.empty((N, E)) if taped else np.empty((2, n0, E))
-    pre = np.empty((n0, 4 * E))
-    bias = np.repeat(bv, n0, axis=0)
-    H = np.empty((N, E))
-    # the zero state: the start of the first step run, and of the rows a
-    # reverse step has beyond the step run before it (its start state is
-    # copied into their prefix)
-    h0, c0 = np.zeros((n0, E)), np.zeros((n0, E))
-    last = None  # the step run before: first row, row count, cells
-    for j in steps:
-        lo, hi = offs[j], offs[j + 1]
-        n = hi - lo
-        r = lo if taped else 0
-        a, tc, p = acts[:, r : r + n], tanh_c[r : r + n], pre[:n]
-        c = C[lo:hi] if taped else C[j % 2, :n]
-        if last is None:
-            hp, cp = h0[:n], c0[:n]
-        else:
-            l_lo, l_n, l_c = last
-            if n <= l_n:
-                hp, cp = H[l_lo : l_lo + n], l_c[:n]
-            else:
-                h0[:l_n], c0[:l_n] = H[l_lo : l_lo + l_n], l_c
-                hp, cp = h0[:n], c0[:n]
-        np.matmul(hp, u, out=p)
-        p += xw[lo:hi]
-        p += bias[:n]
-        # sigmoid(x) = (tanh(x / 2) + 1) / 2 on i|f|o, one tanh for all four;
-        # the halving pass also moves the gates into their slabs
-        p4 = p.reshape(n, 4, E).transpose(1, 0, 2)
-        np.multiply(p4[:3], 0.5, out=a[:3])
-        a[3] = p4[3]
-        np.tanh(a, out=a)
-        s = a[:3]
-        s += 1.0
-        s *= 0.5
-        i, f, o, g = a[0], a[1], a[2], a[3]
-        np.multiply(f, cp, out=c)
-        np.multiply(i, g, out=tc)
-        c += tc
-        np.tanh(c, out=tc)
-        np.multiply(o, tc, out=H[lo:hi])
-        last = lo, n, c
-    out = _record(H, (XW, U, b))
-    rec, rX, rU, rb = out.rec, XW.rec, U.rec, b.rec
-    if rec is not None:
-        h_prev = _start_states(H, offs, steps)
-        c_prev = _start_states(C, offs, steps)
 
-        def rule():
-            # the node's own gradient, dropped once this rule has run, so
-            # each step adds the next step's start-state gradient into it
-            dH = rec.grad
-            dpre = np.empty((N, 4 * E))
-            # a step's gate derivatives and the products they scale
-            derivs, prods = np.empty((4, n0, E)), np.empty((4, n0, E))
-            dc_buf, tmp = np.empty((n0, E)), np.empty((n0, E))
-            # gradient of the start state of the step run after this one
-            dh_next, dc_next = np.empty((n0, E)), np.empty((n0, E))
-            m = 0  # its rows
-            for j in reversed(steps):
-                lo, hi = offs[j], offs[j + 1]
-                n = hi - lo
-                k = min(n, m)
-                a, tc = acts[:, lo:hi], tanh_c[lo:hi]
-                i, f, o, g = a[0], a[1], a[2], a[3]
-                dh, dc, t, q, d = dH[lo:hi], dc_buf[:n], tmp[:n], prods[:, :n], derivs[:, :n]
-                # d(activation)/d(pre-activation): a (1 - a) on i|f|o, 1 - a^2 on g
-                np.subtract(1.0, a[:3], out=d[:3])
-                d[:3] *= a[:3]
-                np.multiply(g, g, out=d[3])
-                np.subtract(1.0, d[3], out=d[3])
-                dh[:k] += dh_next[:k]
-                np.multiply(dh, o, out=t)
-                np.multiply(tc, tc, out=dc)
-                np.subtract(1.0, dc, out=dc)
-                dc *= t
-                dc[:k] += dc_next[:k]
-                np.multiply(dc, g, out=q[0])
-                np.multiply(dc, c_prev[lo:hi], out=q[1])
-                np.multiply(dh, tc, out=q[2])
-                np.multiply(dc, i, out=q[3])
-                dp = dpre[lo:hi]
-                np.multiply(q, d, out=dp.reshape(n, 4, E).transpose(1, 0, 2))
-                np.matmul(dp, u.T, out=dh_next[:n])
-                np.multiply(dc, f, out=dc_next[:n])
-                m = n
-            if rU is not None:
-                _acc(rU, h_prev.T @ dpre)
-            if rb is not None:
-                _acc(rb, dpre.sum(axis=0, keepdims=True))
-            _acc(rX, dpre)
+    def forward(n0):
+        pre, bias = np.empty((n0, 4 * E)), np.repeat(bv, n0, axis=0)
 
-        rec.backward_rule = rule
-    return out
+        def step(lo, hi, hp, h, a, tc, cp, c):
+            n = hi - lo
+            p = pre[:n]
+            np.matmul(hp, u, out=p)
+            p += xw[lo:hi]
+            p += bias[:n]
+            # sigmoid(x) = (tanh(x / 2) + 1) / 2 on i|f|o, one tanh for all four;
+            # the halving pass also moves the gates into their slabs
+            p4 = p.reshape(n, 4, E).transpose(1, 0, 2)
+            np.multiply(p4[:3], 0.5, out=a[:3])
+            a[3] = p4[3]
+            np.tanh(a, out=a)
+            s = a[:3]
+            s += 1.0
+            s *= 0.5
+            i, f, o, g = a[0], a[1], a[2], a[3]
+            np.multiply(f, cp, out=c)
+            np.multiply(i, g, out=tc)
+            c += tc
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=h)
+
+        return step
+
+    def adjoint(n0, acts, tanh_c, h_prev, c_prev):
+        # a step's gate derivatives and the products they scale
+        derivs, prods = np.empty((4, n0, E)), np.empty((4, n0, E))
+        # and the gradient of the cells the step run after this one started from
+        dc_buf, tmp, dc_next = np.empty((n0, E)), np.empty((n0, E)), np.empty((n0, E))
+
+        def back(lo, hi, dh, dp, dh_next, k):
+            n = hi - lo
+            a, tc, cp = acts[:, lo:hi], tanh_c[lo:hi], c_prev[lo:hi]
+            i, f, o, g = a[0], a[1], a[2], a[3]
+            dc, t, q, d = dc_buf[:n], tmp[:n], prods[:, :n], derivs[:, :n]
+            # d(activation)/d(pre-activation): a (1 - a) on i|f|o, 1 - a^2 on g
+            np.subtract(1.0, a[:3], out=d[:3])
+            d[:3] *= a[:3]
+            np.multiply(g, g, out=d[3])
+            np.subtract(1.0, d[3], out=d[3])
+            np.multiply(dh, o, out=t)
+            np.multiply(tc, tc, out=dc)
+            np.subtract(1.0, dc, out=dc)
+            dc *= t
+            dc[:k] += dc_next[:k]
+            np.multiply(dc, g, out=q[0])
+            np.multiply(dc, cp, out=q[1])
+            np.multiply(dh, tc, out=q[2])
+            np.multiply(dc, i, out=q[3])
+            np.multiply(q, d, out=dp.reshape(n, 4, E).transpose(1, 0, 2))
+            np.matmul(dp, u.T, out=dh_next)
+            np.multiply(dc, f, out=dc_next[:n])
+
+        return back
+
+    return _recurrence("lstm_seq", (XW, U, b), counts, reverse, forward, adjoint,
+                       lambda h_prev, _, dpre: h_prev.T @ dpre, cell=True)
 
 
 def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
@@ -718,17 +735,9 @@ def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
     + b_h``, and ``h = (1 - z) * h_prev + z * candidate``, from the zero
     state; a sequence's state is dropped once it has ended. Returns the
     (N, K) hidden states, row-aligned with ``XW``. Backward is
-    hand-derived BPTT over the stored gates and ``h_prev * r``.
-
-    As in ``lstm_seq``, the gates and ``h_prev * r`` are kept for every
-    row only when a tape records the node, and each step works in
-    preallocated buffers. The gate activations are gate-major,
-    (3, rows, K), and so is each backward step's gradient before one
-    copy writes it into the row-major (N, 3K) ``dpre``; the bias is
-    added from copies tiled to one step's rows. The two recurrent
-    products of a step and those of ``dU``, ``db`` and ``dXW`` stay the
-    single row-major ones, so the results stay bitwise those of a
-    per-row loop.
+    hand-derived BPTT over the stored gates and ``h_prev * r`` (see
+    ``_recurrence``); ``dU`` is one product on r|z and one on h. The
+    biases are added from copies tiled to one step's rows.
     """
     xw, u = XW.value, U.value
     bv = None if b is None else b.value
@@ -737,103 +746,79 @@ def gru_seq(XW: Node, U: Node, b: Node | None, counts) -> Node:
             or (bv is not None and bv.shape != (1, 3 * K))):
         raise ShapeError(f"gru_seq: XW {xw.shape}, U {u.shape}, "
                          f"b {None if bv is None else bv.shape} do not fit an r|z|h layout")
-    offs = _step_offsets("gru_seq", counts, xw.shape[0])
-    N, T, n0 = xw.shape[0], len(offs) - 1, offs[1]
     u_rz, u_h = u[:, : 2 * K], u[:, 2 * K :]
-    x_rz, x_h = xw[:, : 2 * K], xw[:, 2 * K :]
-    parents = (XW, U) if b is None else (XW, U, b)
-    taped = _will_record(parents)
-    rows = N if taped else n0
-    acts = np.empty((3, rows, K))  # gate activations, gate-major r|z|h
-    hr = np.empty((rows, K))  # h_prev * r, the candidate's recurrent input
-    pre_rz, pre_h, tmp = np.empty((n0, 2 * K)), np.empty((n0, K)), np.empty((n0, K))
-    if bv is not None:
-        b_rz, b_h = np.repeat(bv[:, : 2 * K], n0, axis=0), np.repeat(bv[:, 2 * K :], n0, axis=0)
-    H = np.empty((N, K))
-    hp = np.zeros((n0, K))  # the state the first step starts from
-    for j in range(T):
-        lo, hi = offs[j], offs[j + 1]
-        n = hi - lo
-        r = lo if taped else 0
-        a, q, h = acts[:, r : r + n], hr[r : r + n], H[lo:hi]
-        p_rz, p_h, t = pre_rz[:n], pre_h[:n], tmp[:n]
-        if j:
-            # every row of this step ran in the last one, as its prefix
-            hp = H[offs[j - 1] : offs[j - 1] + n]
-        np.matmul(hp, u_rz, out=p_rz)
-        p_rz += x_rz[lo:hi]
-        if bv is not None:
-            p_rz += b_rz[:n]
-        # the halving pass also moves r and z into their slabs
-        s = a[:2]
-        np.multiply(p_rz.reshape(n, 2, K).transpose(1, 0, 2), 0.5, out=s)
-        np.tanh(s, out=s)
-        s += 1.0
-        s *= 0.5
-        reset, z, c = a[0], a[1], a[2]
-        np.multiply(hp, reset, out=q)
-        np.matmul(q, u_h, out=p_h)
-        p_h += x_h[lo:hi]
-        if bv is not None:
-            p_h += b_h[:n]
-        np.tanh(p_h, out=c)
-        np.multiply(z, hp, out=h)
-        np.subtract(hp, h, out=h)
-        np.multiply(z, c, out=t)
-        h += t
-    out = _record(H, parents)
-    rec, rX, rU = out.rec, XW.rec, U.rec
-    rb = None if b is None else b.rec
-    if rec is not None:
-        h_prev = _start_states(H, offs, range(T))
 
-        def rule():
-            # the node's own gradient, dropped once this rule has run
-            dH = rec.grad
-            dpre = np.empty((N, 3 * K))
-            grads = np.empty((3, n0, K))  # a step's rows of dpre, gate-major
-            dhr_buf, tmp = np.empty((n0, K)), np.empty((n0, K))
-            # gradient of the next step's start state, and its rows
-            dh_next, m = np.empty((n0, K)), 0
-            for j in range(T - 1, -1, -1):
-                lo, hi = offs[j], offs[j + 1]
-                n = hi - lo
-                r, z, c, hp = acts[0, lo:hi], acts[1, lo:hi], acts[2, lo:hi], h_prev[lo:hi]
-                dh, dhr, t, dp = dH[lo:hi], dhr_buf[:n], tmp[:n], dpre[lo:hi]
-                dh[:m] += dh_next[:m]
-                d = grads[:, :n]
-                d_r, d_z, d_c = d[0], d[1], d[2]
-                np.multiply(dh, z, out=d_c)
-                np.multiply(c, c, out=t)
-                np.subtract(1.0, t, out=t)
-                d_c *= t
-                np.matmul(d_c, u_h.T, out=dhr)
-                np.multiply(dhr, hp, out=d_r)
-                d_r *= r
-                np.subtract(1.0, r, out=t)
-                d_r *= t
-                np.subtract(c, hp, out=d_z)
-                d_z *= dh
-                d_z *= z
-                np.subtract(1.0, z, out=t)
-                d_z *= t
-                np.copyto(dp.reshape(n, 3, K), d.transpose(1, 0, 2))
-                nx = dh_next[:n]
-                np.multiply(dh, z, out=t)
-                np.subtract(dh, t, out=nx)
-                np.multiply(dhr, r, out=t)
-                nx += t
-                np.matmul(dp[:, : 2 * K], u_rz.T, out=t)
-                nx += t
-                m = n
-            if rU is not None:
-                dU = np.empty((K, 3 * K))
-                np.matmul(h_prev.T, dpre[:, : 2 * K], out=dU[:, : 2 * K])
-                np.matmul(hr.T, dpre[:, 2 * K :], out=dU[:, 2 * K :])
-                _acc(rU, dU)
-            if rb is not None:
-                _acc(rb, dpre.sum(axis=0, keepdims=True))
-            _acc(rX, dpre)
+    def forward(n0):
+        x_rz, x_h = xw[:, : 2 * K], xw[:, 2 * K :]
+        pre_rz, pre_h, tmp = np.empty((n0, 2 * K)), np.empty((n0, K)), np.empty((n0, K))
+        if bv is not None:
+            b_rz, b_h = np.repeat(bv[:, : 2 * K], n0, axis=0), np.repeat(bv[:, 2 * K :], n0, axis=0)
 
-        rec.backward_rule = rule
-    return out
+        def step(lo, hi, hp, h, a, q, _cp, _c):
+            n = hi - lo
+            p_rz, p_h, t = pre_rz[:n], pre_h[:n], tmp[:n]
+            np.matmul(hp, u_rz, out=p_rz)
+            p_rz += x_rz[lo:hi]
+            if bv is not None:
+                p_rz += b_rz[:n]
+            # the halving pass also moves r and z into their slabs
+            s = a[:2]
+            np.multiply(p_rz.reshape(n, 2, K).transpose(1, 0, 2), 0.5, out=s)
+            np.tanh(s, out=s)
+            s += 1.0
+            s *= 0.5
+            reset, z, c = a[0], a[1], a[2]
+            np.multiply(hp, reset, out=q)
+            np.matmul(q, u_h, out=p_h)
+            p_h += x_h[lo:hi]
+            if bv is not None:
+                p_h += b_h[:n]
+            np.tanh(p_h, out=c)
+            np.multiply(z, hp, out=h)
+            np.subtract(hp, h, out=h)
+            np.multiply(z, c, out=t)
+            h += t
+
+        return step
+
+    def adjoint(n0, acts, hr, h_prev, c_prev):
+        grads = np.empty((3, n0, K))  # a step's rows of dpre, gate-major
+        dhr_buf, tmp = np.empty((n0, K)), np.empty((n0, K))
+
+        def back(lo, hi, dh, dp, nx, k):
+            n = hi - lo
+            r, z, c, hp = acts[0, lo:hi], acts[1, lo:hi], acts[2, lo:hi], h_prev[lo:hi]
+            dhr, t, d = dhr_buf[:n], tmp[:n], grads[:, :n]
+            d_r, d_z, d_c = d[0], d[1], d[2]
+            np.multiply(dh, z, out=d_c)
+            np.multiply(c, c, out=t)
+            np.subtract(1.0, t, out=t)
+            d_c *= t
+            np.matmul(d_c, u_h.T, out=dhr)
+            np.multiply(dhr, hp, out=d_r)
+            d_r *= r
+            np.subtract(1.0, r, out=t)
+            d_r *= t
+            np.subtract(c, hp, out=d_z)
+            d_z *= dh
+            d_z *= z
+            np.subtract(1.0, z, out=t)
+            d_z *= t
+            np.copyto(dp.reshape(n, 3, K), d.transpose(1, 0, 2))
+            np.multiply(dh, z, out=t)
+            np.subtract(dh, t, out=nx)
+            np.multiply(dhr, r, out=t)
+            nx += t
+            np.matmul(dp[:, : 2 * K], u_rz.T, out=t)
+            nx += t
+
+        return back
+
+    def grad_U(h_prev, hr, dpre):
+        dU = np.empty((K, 3 * K))
+        np.matmul(h_prev.T, dpre[:, : 2 * K], out=dU[:, : 2 * K])
+        np.matmul(hr.T, dpre[:, 2 * K :], out=dU[:, 2 * K :])
+        return dU
+
+    return _recurrence("gru_seq", (XW, U) if b is None else (XW, U, b), counts, False,
+                       forward, adjoint, grad_U)

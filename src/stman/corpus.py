@@ -77,9 +77,20 @@ class ParseError(ValueError):
 
 @contextlib.contextmanager
 def _naming(path):
-    """A ParseError raised in the block names ``path``."""
+    """A ParseError raised in the block names ``path``; so does the one it
+    raises for a byte that is not UTF-8, at the line that holds it."""
     try:
         yield
+    except UnicodeDecodeError as exc:
+        # lines split as the text reader splits them (universal newlines);
+        # the first that does not survive a round trip holds the bad byte
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        line = next(i for i, raw in enumerate(lines, start=1)
+                    if raw.decode("utf-8", "ignore").encode() != raw)
+        err = ParseError(line, f"not UTF-8 ({exc.reason})")
+        err.path = os.fspath(path)
+        raise err from exc
     except ParseError as exc:
         exc.path = os.fspath(path)
         raise

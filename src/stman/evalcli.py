@@ -244,7 +244,7 @@ def load_config(path) -> ModelConfig:
     types = {f.name: f.type for f in fields(ModelConfig)}
     values = {}
     first_line = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, cp._naming(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

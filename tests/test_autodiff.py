@@ -3,6 +3,7 @@ finite-difference sweep across every differentiable op."""
 
 import gc
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -615,6 +616,21 @@ def test_untaped_gru_seq_keeps_no_per_row_state():
     assert _taped_peak_excess(lambda *a: ad.gru_seq(*a, counts), xw, U, b) >= 0.95 * saved
 
 
+def test_untaped_reverse_lstm_seq_on_ragged_counts_keeps_no_per_row_state():
+    """As above, with the steps run last to first over sequences of lengths
+    1..40, so that a step with more rows than the one run before it starts
+    from a copy into the zero state."""
+    E, lengths = 16, np.arange(100) % 40 + 1
+    counts = [int((lengths > t).sum()) for t in range(40)]
+    N = sum(counts)
+    rng = np.random.default_rng(44)
+    xw = rng.normal(size=(N, 4 * E))
+    U, b = rng.normal(scale=0.5, size=(E, 4 * E)), rng.normal(size=(1, 4 * E))
+    saved = 7 * N * E * 8
+    op = lambda *a: ad.lstm_seq(*a, counts, reverse=True)  # noqa: E731
+    assert _taped_peak_excess(op, xw, U, b) >= 0.95 * saved
+
+
 def _recurrent_leaves(rng):
     """Leaves of a matmul -> lstm_seq -> matmul -> gru_seq graph."""
     E, K, N = 3, 2, sum(RAGGED)
@@ -641,23 +657,39 @@ def test_backward_frees_each_rule_and_gradient_and_keeps_leaf_gradients():
         assert lf.grad is not None and lf.grad.shape == lf.value.shape, name
 
 
+def _assert_backward_releases_the_saved_state(out, tape, leaves, shapes):
+    """The arrays the rule of ``out`` keeps, in its closure or in those of
+    the functions it holds, other than the leaf values and their views,
+    have ``shapes`` and die with the rule, while the tape is still open."""
+    values = [lf.value for lf in leaves]
+    saved = [weakref.ref(obj) for obj in _closed_over(out.rec.backward_rule)
+             if isinstance(obj, np.ndarray)
+             and not any(np.may_share_memory(obj, v) for v in values)]
+    assert sorted(ref().shape for ref in saved) == sorted(shapes)
+    tape.backward(sum_all(out))
+    assert all(ref() is None for ref in saved)
+    assert all(lf.grad is not None for lf in leaves)
+
+
 def test_backward_releases_the_state_lstm_seq_saved():
-    """The gates and states the rule closed over die with the rule, while
-    the tape is still open."""
-    leaves = _recurrent_leaves(np.random.default_rng(31))
-    values = {id(lf.value) for lf in leaves.values()}
+    """The gates, the cell's tanh and the hidden and cell start states."""
+    L = _recurrent_leaves(np.random.default_rng(31))
+    E, N = 3, sum(RAGGED)
     with ad.Tape() as tape:
-        XW = ad.matmul(leaves["x"], leaves["W"])
-        H = ad.lstm_seq(XW, leaves["U"], leaves["b"], RAGGED_COUNTS)
-        # the per-call buffers, not the leaf values the rule also reads
-        saved = [weakref.ref(c.cell_contents) for c in H.rec.backward_rule.__closure__
-                 if isinstance(c.cell_contents, np.ndarray)
-                 and id(c.cell_contents) not in values]
-        assert len(saved) >= 4  # acts, h_prev, c_prev, tanh_c
-        assert all(ref() is not None for ref in saved)
-        tape.backward(sum_all(H))
-        assert all(ref() is None for ref in saved)
-    assert leaves["U"].grad is not None
+        H = ad.lstm_seq(ad.matmul(L["x"], L["W"]), L["U"], L["b"], RAGGED_COUNTS)
+        _assert_backward_releases_the_saved_state(H, tape, [L[k] for k in "xWUb"],
+                                                  [(4, N, E)] + [(N, E)] * 3)
+
+
+def test_backward_releases_the_state_gru_seq_saved():
+    """The gates, ``h_prev * r`` and the start states."""
+    L = _recurrent_leaves(np.random.default_rng(34))
+    K, N = 2, sum(RAGGED)
+    with ad.Tape() as tape:
+        H = ad.lstm_seq(ad.matmul(L["x"], L["W"]), L["U"], L["b"], RAGGED_COUNTS)
+        G = ad.gru_seq(ad.matmul(H, L["V"]), L["R"], L["c"], RAGGED_COUNTS)
+        _assert_backward_releases_the_saved_state(G, tape, list(L.values()),
+                                                  [(3, N, K)] + [(N, K)] * 2)
 
 
 def _op_calls(rng):
@@ -691,11 +723,17 @@ def _op_calls(rng):
 
 
 def _closed_over(rule):
-    """Every object a rule's closure cells hold, lists and tuples opened."""
-    todo = [c.cell_contents for c in rule.__closure__ or ()]
+    """Every object a rule's closure cells hold, with lists, tuples and the
+    closures of the functions among them opened, each object once."""
+    todo, seen = [rule], set()
     while todo:
         obj = todo.pop()
-        if isinstance(obj, (list, tuple)):
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            todo.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif isinstance(obj, (list, tuple)):
             todo.extend(obj)
         else:
             yield obj

@@ -125,6 +125,20 @@ def test_parse_reports_line_number_of_bad_json(tmp_path):
     assert str(exc.value).startswith(f"{path}: line 2: invalid JSON: ")
 
 
+def test_parse_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path):
+    """Lines count as the text reader counts them: a CRLF and a lone CR
+    each end one."""
+    path = tmp_path / "c.jsonl"
+    good = json.dumps({"id": "x", "satisfaction": "met", "utterances": [
+        {"speaker": "user", "tokens": ["caf\u00e9"], "sentiment": "neutral"}]})
+    path.write_bytes(good.encode() + b"\r\n" + good.replace("x", "y").encode()
+                     + b"\r" + b'{"id": "z\xc3("}\n')
+    with pytest.raises(cp.ParseError) as exc:
+        cp.parse_corpus(path)
+    assert exc.value.line == 3
+    assert str(exc.value) == f"{path}: line 3: not UTF-8 (invalid continuation byte)"
+
+
 def test_parse_rejects_duplicate_id_naming_both_lines(tmp_path):
     path = tmp_path / "c.jsonl"
     cp.write_corpus([make_dialogue("a"), make_dialogue("b"), make_dialogue("a")], path)
@@ -281,6 +295,15 @@ def test_load_vocab_rejects_repeated_token_naming_both_lines(tmp_path):
                                             r"\(first on line 1\)") as exc:
         cp.load_vocab(path)
     assert exc.value.line == 3
+
+
+def test_load_vocab_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_bytes(b"caf\xc3\xa9\t2\n\nb\xff\t3\n")
+    with pytest.raises(cp.ParseError) as exc:
+        cp.load_vocab(path)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"{path}: line 3: not UTF-8 (")
 
 
 @pytest.mark.parametrize("text, line, message", [

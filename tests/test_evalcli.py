@@ -240,6 +240,14 @@ def test_load_config_rejects_a_repeated_key(tmp_path):
     assert str(err.value) == f"{path}: line 3: duplicate key 'lr' (first on line 1)"
 
 
+def test_load_config_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"# r\xc3\xa9glage\r\nK=8\r\nlr=0.\xe91\r\n")
+    with pytest.raises(ValueError) as err:
+        ev.load_config(path)
+    assert str(err.value).startswith(f"{path}: line 3: not UTF-8 (")
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     import argparse
     path = tmp_path / "run.cfg"
@@ -332,7 +340,7 @@ def test_cli_gen_data_is_reproducible(tmp_path, capsys):
                     "--out", a]) == 0
     assert ev.main(["gen-data", "--n", "30", "--q", "0.8", "--seed", "1",
                     "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     assert len(cp.parse_corpus(a)) == 30
     assert "30 dialogues" in capsys.readouterr().out
 
